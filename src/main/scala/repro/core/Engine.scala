@@ -19,6 +19,13 @@ final case class EngineCapabilities(
 final case class UnsupportedProgramException(engine: String, reason: String)
     extends RuntimeException(s"$engine: $reason")
 
+/** Thrown when a recursive stratum still has new facts after `limit`
+  * iterations: what has been derived so far is not the fixpoint.
+  */
+final case class IterationLimitException(engine: String, preds: Seq[String], limit: Int)
+    extends RuntimeException(
+      s"$engine: stratum {${preds.mkString(", ")}} did not reach a fixpoint within $limit iterations")
+
 /** Common engine interface. All relations are DataFrames with LongType
   * columns named c0..c{arity-1}; `evaluate` returns every IDB relation.
   */

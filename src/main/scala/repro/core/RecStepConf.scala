@@ -60,7 +60,8 @@ final case class RecStepConf(
     smallDeltaRows: Long = 65_536L,
     /** Compact the growing union-of-deltas plan every this many iterations. */
     compactEvery: Int = 24,
-    /** Hard cap on iterations (guards non-convergent inputs in tests). */
+    /** Hard cap on iterations per stratum; a stratum still deriving new
+      * facts at the cap fails with [[IterationLimitException]]. */
     maxIterations: Int = 100_000,
 )
 

@@ -211,7 +211,14 @@ private final class Evaluation(
       }
       if (!s.recursive) anyDelta = false
     }
-    // leave no stale deltas behind for later strata
+    endStratum(idbs, anyDelta)
+  }
+
+  /** Fails if the loop stopped at the iteration cap with facts still
+    * pending; otherwise leaves no stale deltas behind for later strata.
+    */
+  private def endStratum(idbs: Seq[String], pending: Boolean): Unit = {
+    if (pending) throw IterationLimitException("RecStep", idbs, conf.maxIterations)
     idbs.foreach { p => rels(p).delta = emptyRel(rels(p).arity); rels(p).deltaRows = 0 }
   }
 
@@ -351,7 +358,7 @@ private final class Evaluation(
       }
       if (!s.recursive) anyDelta = false
     }
-    idbs.foreach { p => rels(p).delta = emptyRel(rels(p).arity); rels(p).deltaRows = 0 }
+    endStratum(idbs, anyDelta)
   }
 
   /** Candidates (already per-rule aggregated by the plan generator) are

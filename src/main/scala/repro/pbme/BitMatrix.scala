@@ -1,20 +1,66 @@
 package repro.pbme
 
-import java.util.concurrent.atomic.AtomicLongArray
+import java.lang.invoke.{MethodHandles, VarHandle}
 
-/** A dense n×n bit matrix over the active domain {1..n} (§5.3). Row/column
-  * index 0 is unused so vertex ids map directly. Two flavors:
-  *
-  *  - [[BitMatrix]]: plain `Array[Long]` rows. Safe when every row is
-  *    written by a single thread (the TC kernel's zero-coordination
-  *    partitioning — Algorithm 2).
-  *  - [[AtomicBitMatrix]]: CAS-based test-and-set. Needed by the SG kernel
-  *    (Algorithm 3), where derived pairs land in rows owned by other
-  *    threads.
+/** Rows of a dense n×n bit matrix over the active domain {1..n} (§5.3).
+  * Row/column index 0 is unused so vertex ids map directly; row i is
+  * `words` 64-bit words, bit j of the row is column j. The read-only views
+  * below are what the PBME hand-off ships to Spark.
   */
-final class BitMatrix(val n: Int) {
-  val words: Int = (n + 1 + 63) >>> 6
+sealed trait BitRows {
+  def n: Int
+  def words: Int
+
+  /** Row i's words: the matrix's own array, not a copy. */
+  def row(i: Int): Array[Long]
+
+  /** Number of set bits in row i. */
+  def rowCardinality(i: Int): Long = {
+    var c = 0L; var w = 0
+    val r = row(i)
+    while (w < words) { c += java.lang.Long.bitCount(r(w)); w += 1 }
+    c
+  }
+
+  def cardinality: Long = (1 to n).map(rowCardinality(_)).sum
+
+  /** Iterate set column indices of row i. */
+  def foreachInRow(i: Int)(f: Int => Unit): Unit =
+    BitRows.pairs(i, row(i)).foreach(p => f(p._2.toInt))
+
+  /** All set (row, col) pairs as an iterator. */
+  def tuples: Iterator[(Long, Long)] =
+    (1 to n).iterator.flatMap(i => BitRows.pairs(i, row(i)))
+}
+
+object BitRows {
+  def wordsFor(n: Int): Int = (n + 1 + 63) >>> 6
+
+  /** The set bits of one packed row as (i, j) pairs, decoded lazily. */
+  def pairs(i: Int, row: Array[Long]): Iterator[(Long, Long)] = new Iterator[(Long, Long)] {
+    private var w = 0
+    private var bits = if (row.length > 0) row(0) else 0L
+    def hasNext: Boolean = {
+      while (bits == 0L && w + 1 < row.length) { w += 1; bits = row(w) }
+      bits != 0L
+    }
+    def next(): (Long, Long) = {
+      if (!hasNext) throw new NoSuchElementException
+      val j = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+      bits &= bits - 1
+      (i.toLong, j.toLong)
+    }
+  }
+}
+
+/** Plain `Array[Long]` rows. Safe when every row is written by a single
+  * thread (the TC kernel's zero-coordination partitioning — Algorithm 2).
+  */
+final class BitMatrix(val n: Int) extends BitRows {
+  val words: Int = BitRows.wordsFor(n)
   private val rows: Array[Array[Long]] = Array.ofDim[Long](n + 1, words)
+
+  def row(i: Int): Array[Long] = rows(i)
 
   def get(i: Int, j: Int): Boolean = (rows(i)(j >>> 6) & (1L << (j & 63))) != 0L
 
@@ -29,9 +75,7 @@ final class BitMatrix(val n: Int) {
     (old & m) == 0L
   }
 
-  def row(i: Int): Array[Long] = rows(i)
-
-  /** OR `other`'s row `src` into this matrix's row `dst`. */
+  /** OR `srcRow` into this matrix's row `dst`. */
   def orRow(dst: Int, srcRow: Array[Long]): Unit = {
     val r = rows(dst)
     var w = 0
@@ -39,87 +83,37 @@ final class BitMatrix(val n: Int) {
   }
 
   def clear(i: Int, j: Int): Unit = rows(i)(j >>> 6) &= ~(1L << (j & 63))
-
-  /** Number of set bits in row i. */
-  def rowCardinality(i: Int): Long = {
-    var c = 0L; var w = 0
-    val r = rows(i)
-    while (w < words) { c += java.lang.Long.bitCount(r(w)); w += 1 }
-    c
-  }
-
-  def cardinality: Long = (1 to n).map(rowCardinality(_)).sum
-
-  /** Iterate set column indices of row i. */
-  def foreachInRow(i: Int)(f: Int => Unit): Unit = {
-    val r = rows(i)
-    var w = 0
-    while (w < words) {
-      var bits = r(w)
-      while (bits != 0L) {
-        val j = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        f(j)
-        bits &= bits - 1
-      }
-      w += 1
-    }
-  }
-
-  /** All set (row, col) pairs as an iterator (for materialization). */
-  def tuples: Iterator[(Long, Long)] =
-    (1 to n).iterator.flatMap { i =>
-      val buf = new scala.collection.mutable.ArrayBuffer[(Long, Long)]
-      foreachInRow(i)(j => buf += ((i.toLong, j.toLong)))
-      buf
-    }
 }
 
-/** Flat CAS bit matrix for kernels where multiple threads may write the same
-  * row (SG). `testAndSet` is lock-free: the winning CAS claims the fact.
+/** CAS bit matrix for kernels where multiple threads may write the same row
+  * (SG, Algorithm 3). `testAndSet` is lock-free: the winning CAS claims the
+  * fact. The inherited [[BitRows]] views read rows plainly, so they are for
+  * use once the writing threads have been joined.
   */
-final class AtomicBitMatrix(val n: Int) {
-  val words: Int = (n + 1 + 63) >>> 6
-  private val bits = new AtomicLongArray((n + 1) * words)
+final class AtomicBitMatrix(val n: Int) extends BitRows {
+  import AtomicBitMatrix.Word
+  val words: Int = BitRows.wordsFor(n)
+  private val rows: Array[Array[Long]] = Array.ofDim[Long](n + 1, words)
+
+  def row(i: Int): Array[Long] = rows(i)
 
   def get(i: Int, j: Int): Boolean =
-    (bits.get(i * words + (j >>> 6)) & (1L << (j & 63))) != 0L
+    ((Word.getVolatile(rows(i), j >>> 6): Long) & (1L << (j & 63))) != 0L
 
   /** Atomically set bit (i,j); returns true iff this call set it. */
   def testAndSet(i: Int, j: Int): Boolean = {
-    val idx = i * words + (j >>> 6)
+    val r = rows(i)
+    val w = j >>> 6
     val m = 1L << (j & 63)
-    var old = bits.get(idx)
+    var old: Long = Word.getVolatile(r, w)
     while ((old & m) == 0L) {
-      if (bits.compareAndSet(idx, old, old | m)) return true
-      old = bits.get(idx)
+      if (Word.compareAndSet(r, w, old, old | m): Boolean) return true
+      old = Word.getVolatile(r, w)
     }
     false
   }
+}
 
-  def cardinality: Long = {
-    var c = 0L
-    var i = 0
-    while (i < bits.length()) { c += java.lang.Long.bitCount(bits.get(i)); i += 1 }
-    c
-  }
-
-  def foreachInRow(i: Int)(f: Int => Unit): Unit = {
-    var w = 0
-    while (w < words) {
-      var x = bits.get(i * words + w)
-      while (x != 0L) {
-        val j = (w << 6) + java.lang.Long.numberOfTrailingZeros(x)
-        f(j)
-        x &= x - 1
-      }
-      w += 1
-    }
-  }
-
-  def tuples: Iterator[(Long, Long)] =
-    (1 to n).iterator.flatMap { i =>
-      val buf = new scala.collection.mutable.ArrayBuffer[(Long, Long)]
-      foreachInRow(i)(j => buf += ((i.toLong, j.toLong)))
-      buf
-    }
+object AtomicBitMatrix {
+  private val Word: VarHandle = MethodHandles.arrayElementVarHandle(classOf[Array[Long]])
 }

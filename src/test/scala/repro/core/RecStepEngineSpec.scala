@@ -196,6 +196,17 @@ class RecStepEngineSpec extends SparkSpec {
     assert(ex.getMessage.contains("arc"))
   }
 
+  test("a stratum hitting maxIterations fails, naming its predicates and the cap") {
+    val chain = Map("arc" -> edgesToTuples(GraphData.chain(10).toSet))
+    val conf = relConf.copy(maxIterations = 2, pbme = false)
+    val tc = intercept[IterationLimitException](run(engine(conf), Programs.tc, chain))
+    assert(tc.preds == Seq("tc") && tc.limit == 2)
+    assert(tc.getMessage.contains("{tc}") && tc.getMessage.contains("within 2 iterations"))
+    // the recursive MIN loop (CC's label propagation) is capped the same way
+    val cc = intercept[IterationLimitException](run(engine(conf), Programs.cc, chain))
+    assert(cc.preds == Seq("cc3") && cc.limit == 2)
+  }
+
   test("capabilities cover the full language") {
     val c = engine().capabilities
     assert(c.mutualRecursion && c.nonRecursiveAggregation && c.recursiveAggregation && c.negation)

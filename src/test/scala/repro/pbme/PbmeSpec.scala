@@ -1,6 +1,7 @@
 package repro.pbme
 
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import repro.{SparkSpec, TestUtil}
 import repro.TestUtil._
 import repro.datalog.{Analyzer, Parser}
@@ -102,6 +103,53 @@ class PbmeSpec extends SparkSpec {
     assert(Pbme.tc(Vector.empty, 5).cardinality == 0)
   }
 
+  /** Per-bit BFS closure, one source at a time. */
+  private def bfsClosure(edges: Iterable[(Long, Long)]): Set[(Long, Long)] = {
+    val succ = edges.groupMap(_._1)(_._2)
+    succ.keySet.flatMap { i =>
+      val seen = scala.collection.mutable.Set.empty[Long]
+      var frontier = succ(i).toSet
+      while (frontier.nonEmpty) {
+        seen ++= frontier
+        frontier = frontier.flatMap(succ.getOrElse(_, Nil)).diff(seen)
+      }
+      seen.map(j => (i, j))
+    }
+  }
+
+  test("word-parallel TC equals a per-bit BFS closure with 1 and 3 threads") {
+    for (seed <- 1 to 4; threads <- Seq(1, 3)) {
+      val edges = TestUtil.randomEdges(150, 170 + 40 * seed, seed + 20).toVector
+      assert(Pbme.tc(edges, 150, threads).tuples.toSet == bfsClosure(edges), s"seed $seed threads $threads")
+    }
+  }
+
+  test("an interrupted TC call returns promptly and stops its workers") {
+    def workers() = Thread.getAllStackTraces.keySet.toArray(Array.empty[Thread])
+      .filter(t => t.isAlive && t.getName.startsWith("pbme-worker"))
+    def await(cond: => Boolean, ms: Long): Boolean = {
+      val end = System.currentTimeMillis + ms
+      while (!cond && System.currentTimeMillis < end) Thread.sleep(10)
+      cond
+    }
+    assert(await(workers().isEmpty, 2000), "workers of earlier calls still running")
+    // A 20K-vertex graph with a giant strongly connected component: its
+    // closure takes far longer than the test waits.
+    val n = 20000
+    val edges = TestUtil.randomEdges(n, 4 * n, 5).toVector
+    @volatile var outcome: Throwable = null
+    val caller = new Thread(() =>
+      outcome = try { Pbme.tc(edges, n, threads = 3); new AssertionError("tc finished") }
+                catch { case t: Throwable => t })
+    caller.start()
+    assert(await(workers().nonEmpty, 10000), "kernel never started")
+    caller.interrupt()
+    caller.join(2000)
+    assert(!caller.isAlive, "tc ignored the interrupt")
+    assert(outcome.isInstanceOf[InterruptedException], s"unexpected outcome $outcome")
+    assert(await(workers().isEmpty, 2000), s"workers left running: ${workers().map(_.getName).mkString(", ")}")
+  }
+
   // --------------------------------------------------------------- matcher
 
   private def analyzed(src: String) = Analyzer.analyze(Parser.parse(src))
@@ -155,9 +203,78 @@ class PbmeSpec extends SparkSpec {
     assert(Pbme.tryEvaluate(shape, Map("arc" -> arc), maxVertices = 100).isEmpty)
   }
 
+  test("tryEvaluate matches the reference at word boundaries and with isolated vertices") {
+    // Vertices on both sides of the 64-bit word boundaries; every id in
+    // 2..62, 66..126 and above 129 has an empty row.
+    val boundary = Vector(1L, 63L, 64L, 65L, 127L, 128L, 129L)
+    val fixed = Set((1L, 63L), (1L, 64L), (63L, 65L), (64L, 127L), (65L, 128L),
+                    (127L, 64L), (128L, 1L), (129L, 65L), (129L, 127L))
+    val graphs = fixed +: (1 to 4).map { seed =>
+      val rnd = new scala.util.Random(seed)
+      Set.fill(12)((boundary(rnd.nextInt(boundary.size)), boundary(rnd.nextInt(boundary.size))))
+        .filter { case (a, b) => a != b }
+    }
+    for ((edges, g) <- graphs.zipWithIndex;
+         (shape, program) <- Seq(PbmeMatcher.TcShape("tc", "arc") -> Programs.tc,
+                                 PbmeMatcher.SgShape("sg", "arc") -> Programs.sg)) {
+      val expected = NaiveEvaluator.evaluate(program, Map("arc" -> edgesToTuples(edges)))(shape.idb)
+      val out = Pbme.tryEvaluate(shape, Map("arc" -> edgesDF(spark, edges.toSeq)), maxVertices = 200).get
+      assert(dfToSet(out(shape.idb)) == expected, s"graph $g, $shape")
+    }
+  }
+
+  test("tryEvaluate accepts a domain of exactly maxVertices") {
+    val edges = TestUtil.randomEdges(40, 90, 11) + ((39L, 40L))
+    for ((shape, program) <- Seq(PbmeMatcher.TcShape("tc", "arc") -> Programs.tc,
+                                 PbmeMatcher.SgShape("sg", "arc") -> Programs.sg)) {
+      val out = Pbme.tryEvaluate(shape, Map("arc" -> edgesDF(spark, edges.toSeq)), maxVertices = 40)
+      assert(out.isDefined, s"$shape declined")
+      val expected = NaiveEvaluator.evaluate(program, Map("arc" -> edgesToTuples(edges)))(shape.idb)
+      assert(dfToSet(out.get(shape.idb)) == expected, s"$shape")
+    }
+  }
+
+  test("tryEvaluate's DataFrame keeps its schema and agrees across actions") {
+    val edges = TestUtil.randomEdges(70, 150, 4)
+    val df = Pbme.tryEvaluate(PbmeMatcher.TcShape("tc", "arc"),
+      Map("arc" -> edgesDF(spark, edges.toSeq)), maxVertices = 100).get("tc")
+    assert(df.schema == StructType(Seq(StructField("c0", LongType, nullable = false),
+                                       StructField("c1", LongType, nullable = false))))
+    val counted = df.count()
+    val rows = df.collect().map(r => (r.getLong(0), r.getLong(1)))
+    assert(counted == rows.length && rows.toSet == bfsClosure(edges))
+  }
+
   test("tryEvaluate declines on non-positive vertex ids") {
     val arc = edgesDF(spark, Seq((0L, 3L)))
     val shape = PbmeMatcher.TcShape("tc", "arc")
     assert(Pbme.tryEvaluate(shape, Map("arc" -> arc), maxVertices = 100).isEmpty)
+  }
+
+  // ------------------------------------------------------ memory fit
+
+  test("matricesFit: an n×n matrix takes (n+1)·⌈(n+1)/64⌉·8 bytes") {
+    val one = 32768L * 512 * 8 // n = 32767: 32768 rows of 512 words
+    assert(Pbme.matricesFit(32767, 1, one))
+    assert(!Pbme.matricesFit(32767, 1, one - 1))
+    assert(Pbme.matricesFit(32767, 2, 2 * one))
+    assert(!Pbme.matricesFit(32767, 2, 2 * one - 1))
+    assert(Pbme.matricesFit(0, 2, 16))
+  }
+
+  test("matricesFit rejects a cell count past Int range whatever the heap") {
+    // 371001 rows of 5797 words is 2.1507e9 cells > Int.MaxValue;
+    // 370001 rows of 5782 words is 2.1393e9 cells, just inside it.
+    assert(!Pbme.matricesFit(371000, 1, Long.MaxValue / 16))
+    assert(Pbme.matricesFit(370000, 1, Long.MaxValue / 16))
+  }
+
+  test("tryEvaluate falls back when the matrices would not fit the heap") {
+    // 200K vertices: two matrices of 5 GB each. The vertex cap lets them
+    // through, so only the heap check can decline.
+    val n = 200000L
+    assume(!Pbme.matricesFit(n, 2, Runtime.getRuntime.maxMemory))
+    val arc = edgesDF(spark, Seq((1L, n)))
+    assert(Pbme.tryEvaluate(PbmeMatcher.TcShape("tc", "arc"), Map("arc" -> arc), maxVertices = Int.MaxValue).isEmpty)
   }
 }
