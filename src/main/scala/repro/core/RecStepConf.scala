@@ -26,6 +26,12 @@ object DsdMode {
 
 /** Configuration of the RecStep engine; every optimization of §5 is
   * independently switchable so the Figure-2 ablation can be reproduced.
+  *
+  * There are no tuning knobs (Table 1: RecStep needs no tuning). The
+  * thresholds OOF applies to its statistics (broadcast size, the small-Δ
+  * cut-off, DSD's α, the compaction period) are constants of the engine's
+  * OOF policy, and the partition budget is the session's
+  * `spark.sql.shuffle.partitions`.
   */
 final case class RecStepConf(
     /** Unified IDB Evaluation: all subqueries for one IDB in a single plan. */
@@ -35,7 +41,9 @@ final case class RecStepConf(
     /** Dynamic Set Difference. */
     dsd: DsdMode = DsdMode.Dynamic,
     /** Evaluation as One Single Transaction: in-memory materialization only;
-      * when false each iteration commits to disk (reliable checkpoint).
+      * when false each iteration commits to disk (reliable checkpoint) in
+      * the session's checkpoint dir, or, if none is set, in a temporary one
+      * that is deleted when the evaluation returns.
       */
     eost: Boolean = true,
     /** FAST-DEDUP via compact concatenated keys + specialized hash set. */
@@ -44,22 +52,6 @@ final case class RecStepConf(
     pbme: Boolean = false,
     /** PBME is only built when the active domain fits (§5.3). */
     pbmeMaxVertices: Int = 32 * 1024,
-    /** Build/probe cost ratio α for the DSD cost model (Appendix A);
-      * calibrate offline with [[DsdCostModel.calibrate]].
-      */
-    alpha: Double = 2.0,
-    /** Shuffle/partition budget (the paper's core count analog). */
-    shufflePartitions: Int = 64,
-    /** Rows below which a relation side is broadcast (hash-build side). */
-    broadcastRows: Long = 1_500_000L,
-    /** Below this R_δ size the specialized machinery (TPSD + its μ-refresh
-      * analyze, CCK hash-table dedup) cannot pay for its own per-query
-      * overhead (appendix C's caveat on OOF's extra queries), so the engine
-      * falls back to the one-shot operators.
-      */
-    smallDeltaRows: Long = 65_536L,
-    /** Compact the growing union-of-deltas plan every this many iterations. */
-    compactEvery: Int = 24,
     /** Hard cap on iterations per stratum; a stratum still deriving new
       * facts at the cap fails with [[IterationLimitException]]. */
     maxIterations: Int = 100_000,

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.file.Files
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.datalog._
@@ -13,16 +15,18 @@ import scala.collection.mutable
   * iteration 1 applies every rule naïvely over the full relations; from
   * iteration 2 on, only recursive rules run, one delta-subquery per
   * same-stratum IDB atom occurrence (deltas are snapshotted at iteration
-  * start — synchronous semi-naïve). Each iteration then performs, per IDB:
-  * dedup (UNION ALL + separate dedup, §4), set difference (DSD, §5.1), and
-  * merge — exactly Algorithm 1 lines 8–13.
+  * start — synchronous semi-naïve). Each iteration then performs, per IDB,
+  * uieval (UNION ALL of its subqueries) followed by the IDB's merge step.
+  * For set-semantics IDBs that is dedup (UNION ALL + separate dedup, §4),
+  * set difference (DSD, §5.1) and merge — exactly Algorithm 1 lines 8–13.
   *
-  * Strata whose IDBs carry monotone MIN/MAX heads (CC/SSSP) use the
-  * recursive-aggregation loop: candidates are merged group-wise and the
-  * delta is the set of strictly-improved rows.
+  * IDBs that carry monotone MIN/MAX heads (CC/SSSP) differ only in the merge
+  * step: candidates are merged group-wise and the delta is the set of
+  * strictly-improved rows.
   *
-  * Every §5 optimization is an independent switch on [[RecStepConf]]; see
-  * that class and DESIGN.md for the mechanism mapping.
+  * Every §5 optimization is an independent switch on [[RecStepConf]]; the
+  * statistics-driven decisions of OOF are taken by [[OofPolicy]]. See
+  * DESIGN.md for the mechanism mapping.
   */
 final class RecStepEngine(conf: RecStepConf = RecStepConf.default) extends DatalogEngine {
 
@@ -76,49 +80,42 @@ private final class Evaluation(
 
   private val rels = mutable.Map.empty[String, RelState]
   private var edbMaxValue: Long = 0L
-  private val adaptive = conf.oof != OofMode.NoAnalyze
-
-  /** Arithmetic can carry IDB values beyond the EDB active-domain bound, so
-    * the packed-CK dedup (whose bit budget is derived from that bound) is
-    * disabled for such programs.
-    */
-  private val programHasArith: Boolean = {
-    def arith(e: Expr): Boolean = e match {
-      case EVar(_) | ELit(_) => false
-      case _                 => true
-    }
-    analysis.program.rules.exists(r =>
-      r.head.terms.exists { case HExpr(e) => arith(e); case HAgg(_, e) => arith(e) } ||
-        r.comparisons.exists(c => arith(c.l) || arith(c.r)))
-  }
+  private val oof = new OofPolicy(conf, analysis, spark.conf.get("spark.sql.shuffle.partitions").toInt)
 
   def run(): Map[String, DataFrame] = {
-    loadEdbs()
-    // Program constants can also reach IDB columns; fold them into the
-    // CCK packability bound.
-    val consts = analysis.program.rules.flatMap { r =>
-      r.body.collect { case BAtom(_, ts, _) => ts.collect { case Num(v) => v } }.flatten ++
-        r.head.terms.flatMap { case HExpr(e) => exprLits(e); case HAgg(_, e) => exprLits(e) }
+    val sc = spark.sparkContext
+    // Without EOST every materialization is a reliable checkpoint. A caller's
+    // checkpoint dir is used as it is; otherwise this evaluation owns a
+    // temporary one and leaves the session as it found it.
+    val ownDir = if (conf.eost || sc.getCheckpointDir.isDefined) None
+      else Some(Files.createTempDirectory("recstep-ckpt").toFile)
+    ownDir.foreach(d => sc.setCheckpointDir(d.toString))
+    try {
+      loadEdbs()
+      // Program constants can also reach IDB columns; fold them into the
+      // CCK packability bound.
+      val consts = analysis.program.rules.flatMap { r =>
+        r.body.collect { case BAtom(_, ts, _) => ts.collect { case Num(v) => v } }.flatten ++
+          r.head.terms.flatMap { case HExpr(e) => exprLits(e); case HAgg(_, e) => exprLits(e) }
+      }
+      if (consts.nonEmpty) {
+        if (consts.min < 0) edbMaxValue = Long.MaxValue // disables packing
+        else edbMaxValue = math.max(edbMaxValue, consts.max)
+      }
+      for (p <- analysis.idbs) rels(p) = new RelState(analysis.arities(p))
+      analysis.strata.foreach(evalStratum)
+      val out = analysis.idbs.map(p => p -> rels(p).full).toMap
+      // The checkpoint files are deleted with the dir: pin the results first.
+      if (ownDir.isEmpty) out else out.map { case (p, df) => p -> df.localCheckpoint() }
+    } finally ownDir.foreach { d =>
+      sc.setCheckpointDir(null)
+      FileUtils.deleteDirectory(d)
     }
-    if (consts.nonEmpty) {
-      if (consts.min < 0) edbMaxValue = Long.MaxValue // disables packing
-      else edbMaxValue = math.max(edbMaxValue, consts.max)
-    }
-    for (p <- analysis.idbs) rels(p) = new RelState(analysis.arities(p))
-    for (stratum <- analysis.strata) {
-      if (stratum.recursiveAggs.nonEmpty) evalAggStratum(stratum)
-      else evalSetStratum(stratum)
-    }
-    analysis.idbs.map(p => p -> rels(p).full).toMap
   }
 
   // -------------------------------------------------------------- loading
 
   private def loadEdbs(): Unit = {
-    if (!conf.eost) {
-      val dir = java.nio.file.Files.createTempDirectory("recstep-ckpt").toString
-      spark.sparkContext.setCheckpointDir(dir)
-    }
     for (p <- analysis.edbs) {
       val df = edbInput.getOrElse(p,
         throw new IllegalArgumentException(s"missing EDB relation '$p'"))
@@ -152,178 +149,29 @@ private final class Evaluation(
 
   // ------------------------------------------------------------- resolvers
 
-  /** Wrap a relation in a broadcast hint when OOF's stats say it is small
-    * enough to be the hash-build side. Under OOF-NA only EDBs (whose stats
-    * exist from load time) are ever hinted — IDB stats are never refreshed.
-    */
-  private def hinted(df: DataFrame, rows: Long, isEdb: Boolean): DataFrame =
-    if ((adaptive || isEdb) && rows <= conf.broadcastRows) broadcast(df) else df
-
   private def resolveFull(pred: String): DataFrame = {
     val st = rels(pred)
-    hinted(st.full, st.rows, analysis.edbs.contains(pred))
+    oof.hint(st.full, st.rows, analysis.edbs.contains(pred))
   }
 
   /** Resolver substituting Δ at one designated same-stratum atom occurrence. */
-  private def deltaResolver(deltaOccurrence: Int, snapshot: Map[String, (DataFrame, Long)]): PlanGenerator.Resolver =
+  private def deltaResolver(deltaOccurrence: Int): PlanGenerator.Resolver =
     (atom, occ) =>
       if (occ == deltaOccurrence) {
-        val (d, n) = snapshot(atom.pred)
-        hinted(d, n, isEdb = false)
+        val st = rels(atom.pred)
+        oof.hint(st.delta, st.deltaRows, isEdb = false)
       } else resolveFull(atom.pred)
 
   private val fullResolver: PlanGenerator.Resolver = (atom, _) => resolveFull(atom.pred)
 
-  // ------------------------------------------------------- set-semantics
+  // -------------------------------------------------------- stratum loop
 
-  private def evalSetStratum(s: Stratum): Unit = {
-    val idbs = s.preds.toSeq.sorted
-    var iteration = 0
-    var anyDelta = true
-    while (anyDelta && iteration < conf.maxIterations) {
-      iteration += 1
-      anyDelta = false
-      // Snapshot deltas at iteration start (synchronous semi-naïve).
-      val snapshot: Map[String, (DataFrame, Long)] =
-        idbs.map(p => p -> ((rels(p).delta, rels(p).deltaRows))).toMap
-
-      val newDeltas = for (pred <- idbs) yield {
-        val subqueries =
-          if (iteration == 1) s.rules.filter(_.head.pred == pred).map(r => PlanGenerator.compileRule(r, fullResolver))
-          else deltaSubqueries(s, pred, snapshot)
-        pred -> (if (subqueries.isEmpty) None else Some(evalIdb(pred, subqueries)))
-      }
-
-      for ((pred, res) <- newDeltas) {
-        val st = rels(pred)
-        res match {
-          case None =>
-            st.delta = emptyRel(st.arity); st.deltaRows = 0
-          case Some((delta, deltaRows)) =>
-            st.delta = delta; st.deltaRows = deltaRows
-            if (deltaRows > 0) {
-              st.pieces :+= delta
-              st.rows += deltaRows
-              anyDelta = true
-              maybeCompact(st)
-            }
-        }
-      }
-      if (!s.recursive) anyDelta = false
-    }
-    endStratum(idbs, anyDelta)
-  }
-
-  /** Fails if the loop stopped at the iteration cap with facts still
-    * pending; otherwise leaves no stale deltas behind for later strata.
+  /** The semi-naïve loop of one stratum: each iteration runs uieval and
+    * then the merge step of every IDB (set, or MIN/MAX for recursive
+    * aggregates).
     */
-  private def endStratum(idbs: Seq[String], pending: Boolean): Unit = {
-    if (pending) throw IterationLimitException("RecStep", idbs, conf.maxIterations)
-    idbs.foreach { p => rels(p).delta = emptyRel(rels(p).arity); rels(p).deltaRows = 0 }
-  }
-
-  /** One delta-subquery per (recursive rule, same-stratum atom occurrence). */
-  private def deltaSubqueries(
-      s: Stratum, pred: String, snapshot: Map[String, (DataFrame, Long)]): Seq[DataFrame] =
-    for {
-      rule <- s.rules.filter(_.head.pred == pred)
-      (atom, occ) <- rule.positiveAtoms.zipWithIndex
-      if s.preds.contains(atom.pred)
-      if snapshot(atom.pred)._2 > 0 // empty delta contributes nothing
-    } yield PlanGenerator.compileRule(rule, deltaResolver(occ, snapshot))
-
-  /** Lines 8–13 of Algorithm 1 for one IDB: uieval (UNION ALL of subqueries,
-    * a single plan under UIE, separately materialized per-subquery
-    * otherwise), dedup, set difference, merge. Returns (ΔR, |ΔR|).
-    */
-  private def evalIdb(pred: String, subqueries: Seq[DataFrame]): (DataFrame, Long) = {
-    val st = rels(pred)
-    val rt: DataFrame =
-      if (conf.uie) subqueries.reduce(_ union _)
-      else subqueries.map(materialize).reduce(_ union _) // one job per subquery
-
-    // dedup(R_t): the hash-table size estimate is the previous R_δ (OOF's
-    // conservative approximation); fixed partitioning under OOF-NA.
-    val dedupParts =
-      if (adaptive) partsFor(math.max(st.prevRdeltaRows, 1024L))
-      else conf.shufflePartitions
-    // SUM/COUNT/AVG head values are not bounded by the active domain, so
-    // such relations never take the packed-CK path.
-    // Small expected dedups cannot amortize the CCK path's extra exchange
-    // (the hash table is sized from OOF's estimate, §5.1) — use the plain
-    // aggregate below the threshold. Without stats (OOF-NA) stay generic
-    // only when the estimate is unavailable on iteration 1.
-    val bigEnough = !adaptive || math.max(st.prevRdeltaRows, st.deltaRows) >= conf.smallDeltaRows
-    val fastOk = bigEnough && conf.fastDedup && !programHasArith && !analysis.program.rules.exists(r =>
-      r.head.pred == pred && r.head.terms.exists {
-        case HAgg(op, _) => !AggOp.monotone(op)
-        case _           => false
-      })
-    val rDelta = Dedup(rt, fastOk, edbMaxValue, dedupParts)
-
-    // analyze(R_δ, R): |R| is tracked incrementally; |R_δ| needs a job.
-    val rDeltaMat = materialize(rDelta)
-    val rDeltaRows = rDeltaMat.count()
-    st.prevRdeltaRows = rDeltaRows
-    fullAnalyzeOverhead(rDeltaMat)
-
-    // ΔR ← R_δ − R via DSD
-    val delta = setDifference(st, rDeltaMat, rDeltaRows)
-    val deltaMat = materialize(
-      if (adaptive) delta.coalesce(partsFor(rDeltaRows)) else delta)
-    (deltaMat, deltaMat.count())
-  }
-
-  private def setDifference(st: RelState, rDelta: DataFrame, rDeltaRows: Long): DataFrame = {
-    if (st.rows == 0) return rDelta
-    if (rDeltaRows == 0) return rDelta // empty - anything = empty
-    val useTpsd = conf.dsd match {
-      case DsdMode.Opsd    => false
-      case DsdMode.Tpsd    => true
-      case DsdMode.Dynamic =>
-        if (!adaptive) false // OOF-NA: no fresh stats to drive the model
-        // tiny R_δ: either translation finishes instantly, but TPSD's extra
-        // query + μ-refresh analyze would dominate — keep the one-shot plan
-        else if (rDeltaRows < conf.smallDeltaRows) false
-        else SetDifference.decide(st.rows, rDeltaRows, conf.alpha, st.mu).useTpsd
-    }
-    if (!useTpsd) SetDifference.opsd(rDelta, st.full, st.rows, conf.broadcastRows)
-    else {
-      val (delta, inter) = SetDifference.tpsd(rDelta, st.full, st.rows, rDeltaRows, conf.broadcastRows)
-      if (adaptive) {
-        val interRows = math.max(1L, inter.count()) // analyze(r) to refresh μ
-        st.mu = rDeltaRows.toDouble / interRows
-      }
-      delta
-    }
-  }
-
-  /** OOF-FA: recollect *all* stats on every updated table — the overhead arm
-    * of Figure 2 (the results are computed and discarded).
-    */
-  private def fullAnalyzeOverhead(df: DataFrame): Unit =
-    if (conf.oof == OofMode.FullAnalyze) {
-      val aggs = df.columns.flatMap(c =>
-        Seq(min(col(c)), max(col(c)), approx_count_distinct(col(c)), avg(col(c))))
-      df.agg(aggs.head, aggs.tail.toIndexedSeq: _*).collect()
-      ()
-    }
-
-  private def partsFor(rows: Long): Int =
-    math.max(1, math.min(conf.shufflePartitions, (rows / 100_000L).toInt + 1))
-
-  /** Compact the union-of-deltas once it grows past the configured width so
-    * plan size stays bounded across hundreds of iterations.
-    */
-  private def maybeCompact(st: RelState): Unit =
-    if (st.pieces.size >= conf.compactEvery) {
-      st.pieces = Vector(materialize(st.full))
-    }
-
-  // -------------------------------------------- recursive MIN/MAX strata
-
-  private def evalAggStratum(s: Stratum): Unit = {
-    if (!s.preds.forall(s.recursiveAggs.contains))
+  private def evalStratum(s: Stratum): Unit = {
+    if (s.recursiveAggs.nonEmpty && !s.preds.forall(s.recursiveAggs.contains))
       throw UnsupportedProgramException("RecStep",
         s"stratum mixes aggregated and plain IDBs: ${s.preds.mkString(", ")}")
     val idbs = s.preds.toSeq.sorted
@@ -332,53 +180,94 @@ private final class Evaluation(
     while (anyDelta && iteration < conf.maxIterations) {
       iteration += 1
       anyDelta = false
-      val snapshot: Map[String, (DataFrame, Long)] =
-        idbs.map(p => p -> ((rels(p).delta, rels(p).deltaRows))).toMap
+      // Every IDB's subqueries are planned before any merge step replaces a
+      // relation, so all of them read the iteration-start state (synchronous
+      // semi-naïve).
+      val subqueries = for (pred <- idbs) yield pred -> (
+        if (iteration == 1) s.rules.filter(_.head.pred == pred).map(r => PlanGenerator.compileRule(r, fullResolver))
+        else deltaSubqueries(s, pred))
 
-      val updates = for (pred <- idbs) yield {
-        val sig = s.recursiveAggs(pred)
-        val subqueries =
-          if (iteration == 1)
-            s.rules.filter(_.head.pred == pred).map(r => PlanGenerator.compileRule(r, fullResolver))
-          else deltaSubqueries(s, pred, snapshot)
-        pred -> (if (subqueries.isEmpty) None else Some(aggStep(pred, sig, subqueries)))
-      }
-
-      for ((pred, upd) <- updates) {
+      for ((pred, sq) <- subqueries) {
         val st = rels(pred)
-        upd match {
-          case None =>
-            st.delta = emptyRel(st.arity); st.deltaRows = 0
-          case Some((merged, mergedRows, delta, deltaRows)) =>
-            st.delta = delta; st.deltaRows = deltaRows
-            if (deltaRows > 0) anyDelta = true
-            st.pieces = Vector(merged)
-            st.rows = mergedRows
+        if (sq.isEmpty) { st.delta = emptyRel(st.arity); st.deltaRows = 0 }
+        else s.recursiveAggs.get(pred) match {
+          case Some(sig) => aggMerge(st, sig, uieval(sq))
+          case None      => setMerge(pred, st, uieval(sq))
         }
+        if (st.deltaRows > 0) anyDelta = true
+        if (oof.compacts(st.pieces.size)) st.pieces = Vector(materialize(st.full))
       }
       if (!s.recursive) anyDelta = false
     }
-    endStratum(idbs, anyDelta)
+    // Fail if the loop stopped at the iteration cap with facts still pending;
+    // otherwise leave no stale deltas behind for later strata.
+    if (anyDelta) throw IterationLimitException("RecStep", idbs, conf.maxIterations)
+    idbs.foreach { p => rels(p).delta = emptyRel(rels(p).arity); rels(p).deltaRows = 0 }
   }
 
-  /** Candidates (already per-rule aggregated by the plan generator) are
-    * merged group-wise with the current relation; Δ = strictly-improved rows.
-    */
-  private def aggStep(
-      pred: String, sig: AggSignature, subqueries: Seq[DataFrame],
-  ): (DataFrame, Long, DataFrame, Long) = {
-    val st = rels(pred)
-    val cand: DataFrame =
-      if (conf.uie) subqueries.reduce(_ union _)
-      else subqueries.map(materialize).reduce(_ union _)
+  /** One delta-subquery per (recursive rule, same-stratum atom occurrence). */
+  private def deltaSubqueries(s: Stratum, pred: String): Seq[DataFrame] =
+    for {
+      rule <- s.rules.filter(_.head.pred == pred)
+      (atom, occ) <- rule.positiveAtoms.zipWithIndex
+      if s.preds.contains(atom.pred)
+      if rels(atom.pred).deltaRows > 0 // empty delta contributes nothing
+    } yield PlanGenerator.compileRule(rule, deltaResolver(occ))
 
+  /** uieval (Algorithm 1 line 9): the UNION ALL of one IDB's subqueries, a
+    * single plan under UIE, separately materialized per subquery otherwise.
+    */
+  private def uieval(subqueries: Seq[DataFrame]): DataFrame =
+    if (conf.uie) subqueries.reduce(_ union _)
+    else subqueries.map(materialize).reduce(_ union _) // one job per subquery
+
+  // ---------------------------------------------------------- merge steps
+
+  /** Set merge step (Algorithm 1 lines 10–13): dedup, analyze, set
+    * difference, and ΔR appended to R as a new piece.
+    */
+  private def setMerge(pred: String, st: RelState, rt: DataFrame): Unit = {
+    // dedup(R_t): the hash-table size estimate is the previous R_δ (OOF's
+    // conservative approximation).
+    val rDelta = materialize(Dedup(rt, oof.fastDedup(pred, st.prevRdeltaRows, st.deltaRows),
+      edbMaxValue, oof.dedupPartitions(st.prevRdeltaRows)))
+
+    // analyze(R_δ, R): |R| is tracked incrementally; |R_δ| needs a job.
+    val rDeltaRows = rDelta.count()
+    st.prevRdeltaRows = rDeltaRows
+    oof.fullAnalyze(rDelta)
+
+    // ΔR ← R_δ − R via DSD
+    st.delta = materialize(oof.repartitionDelta(setDifference(st, rDelta, rDeltaRows), rDeltaRows))
+    st.deltaRows = st.delta.count()
+    if (st.deltaRows > 0) st.pieces :+= st.delta
+    st.rows += st.deltaRows
+  }
+
+  private def setDifference(st: RelState, rDelta: DataFrame, rDeltaRows: Long): DataFrame =
+    if (st.rows == 0 || rDeltaRows == 0) rDelta // R_δ − ∅ = R_δ; ∅ − R = ∅
+    else if (!oof.useTpsd(st.rows, rDeltaRows, st.mu))
+      SetDifference.opsd(rDelta, st.full, st.rows, OofPolicy.BroadcastRows)
+    else {
+      val (delta, inter) = SetDifference.tpsd(rDelta, st.full, st.rows, rDeltaRows, OofPolicy.BroadcastRows)
+      st.mu = oof.refreshMu(st.mu, rDeltaRows, inter)
+      delta
+    }
+
+  /** MIN/MAX merge step: candidates (already per-rule aggregated by the plan
+    * generator) are merged group-wise with R, and the merged relation
+    * replaces R's pieces; ΔR = strictly-improved rows.
+    */
+  private def aggMerge(st: RelState, sig: AggSignature, cand: DataFrame): Unit = {
     val merged = materialize(mergeAgg(st.full.union(cand), sig))
     val mergedRows = merged.count()
     // improved rows: in merged but not in old R (keys are unique per side,
     // so an all-column anti-join captures both new keys and better values).
-    val delta = materialize(
-      SetDifference.opsd(merged, st.full, st.rows, conf.broadcastRows))
-    (merged, mergedRows, delta, delta.count())
+    st.delta = materialize(
+      SetDifference.opsd(merged, st.full, st.rows, OofPolicy.BroadcastRows))
+    st.deltaRows = st.delta.count()
+    st.pieces = Vector(merged)
+    st.rows = mergedRows
   }
 
   private def exprLits(e: Expr): Seq[Long] = e match {
@@ -400,4 +289,118 @@ private final class Evaluation(
     df.groupBy(keyCols: _*).agg(aggCol.as(s"c${sig.aggPos}"))
       .select(df.columns.indices.map(i => col(s"c$i")): _*)
   }
+}
+
+/** OOF (Optimization On the Fly, §5.1): every decision RecStep takes from
+  * relation statistics. Under OOF-NA the statistics are frozen at load time,
+  * so only EDBs are sized by them and every decision that needs fresh IDB
+  * statistics falls back to its fixed choice. Under OOF-FA all statistics of
+  * every updated table are also recollected, which is pure overhead.
+  *
+  * `shufflePartitions` is the partition budget (the paper's core count
+  * analog), taken from the session's `spark.sql.shuffle.partitions`.
+  */
+private final class OofPolicy(conf: RecStepConf, analysis: Analyzer.Analysis, shufflePartitions: Int) {
+  import OofPolicy._
+
+  private val adaptive = conf.oof != OofMode.NoAnalyze
+
+  /** IDBs that may take the packed-CK dedup. Arithmetic can carry IDB values
+    * beyond the EDB active-domain bound from which the CCK bit budget is
+    * derived, so programs with arithmetic never pack; SUM/COUNT/AVG head
+    * values are not bounded by the active domain either.
+    */
+  private val cckPreds: Set[String] = {
+    def arith(e: Expr): Boolean = e match {
+      case EVar(_) | ELit(_) => false
+      case _                 => true
+    }
+    val rules = analysis.program.rules
+    val programHasArith = rules.exists(r =>
+      r.head.terms.exists { case HExpr(e) => arith(e); case HAgg(_, e) => arith(e) } ||
+        r.comparisons.exists(c => arith(c.l) || arith(c.r)))
+    def nonMonotoneHead(pred: String) = rules.exists(r =>
+      r.head.pred == pred && r.head.terms.exists {
+        case HAgg(op, _) => !AggOp.monotone(op)
+        case _           => false
+      })
+    if (!conf.fastDedup || programHasArith) Set.empty
+    else analysis.idbs.filterNot(nonMonotoneHead)
+  }
+
+  /** Wrap a relation in a broadcast hint when its stats say it is small
+    * enough to be the hash-build side. Under OOF-NA only EDBs (whose stats
+    * exist from load time) are ever hinted — IDB stats are never refreshed.
+    */
+  def hint(df: DataFrame, rows: Long, isEdb: Boolean): DataFrame =
+    if ((adaptive || isEdb) && rows <= BroadcastRows) broadcast(df) else df
+
+  /** Dedup partitions sized from the previous R_δ; fixed under OOF-NA. */
+  def dedupPartitions(prevRdeltaRows: Long): Int =
+    if (adaptive) partsFor(math.max(prevRdeltaRows, 1024L)) else shufflePartitions
+
+  /** Small expected dedups cannot amortize the CCK path's extra exchange
+    * (the hash table is sized from OOF's estimate, §5.1) — use the plain
+    * aggregate below the threshold. Without stats (OOF-NA) the size is
+    * unknown, so eligible IDBs always take the CCK path.
+    */
+  def fastDedup(pred: String, prevRdeltaRows: Long, deltaRows: Long): Boolean =
+    cckPreds.contains(pred) && (!adaptive || math.max(prevRdeltaRows, deltaRows) >= SmallDeltaRows)
+
+  /** OOF-FA: recollect *all* stats on every updated table — the overhead arm
+    * of Figure 2 (the results are computed and discarded).
+    */
+  def fullAnalyze(df: DataFrame): Unit =
+    if (conf.oof == OofMode.FullAnalyze) {
+      val aggs = df.columns.flatMap(c =>
+        Seq(min(col(c)), max(col(c)), approx_count_distinct(col(c)), avg(col(c))))
+      df.agg(aggs.head, aggs.tail.toIndexedSeq: _*).collect()
+    }
+
+  /** DSD's choice between TPSD and OPSD for R_δ − R. */
+  def useTpsd(rRows: Long, rDeltaRows: Long, mu: Double): Boolean = conf.dsd match {
+    case DsdMode.Opsd    => false
+    case DsdMode.Tpsd    => true
+    case DsdMode.Dynamic =>
+      if (!adaptive) false // OOF-NA: no fresh stats to drive the model
+      // tiny R_δ: either translation finishes instantly, but TPSD's extra
+      // query + μ-refresh analyze would dominate — keep the one-shot plan
+      else if (rDeltaRows < SmallDeltaRows) false
+      else SetDifference.decide(rRows, rDeltaRows, Alpha, mu).useTpsd
+  }
+
+  /** μ for the next iteration's DSD decision: analyze(r) of TPSD's
+    * intersection; kept as it was under OOF-NA.
+    */
+  def refreshMu(mu: Double, rDeltaRows: Long, inter: DataFrame): Double =
+    if (adaptive) rDeltaRows.toDouble / math.max(1L, inter.count()) else mu
+
+  /** ΔR's partitioning, matched to the data volume. */
+  def repartitionDelta(delta: DataFrame, rDeltaRows: Long): DataFrame =
+    if (adaptive) delta.coalesce(partsFor(rDeltaRows)) else delta
+
+  /** Compact the union-of-deltas once it grows past [[CompactEvery]] pieces
+    * so plan size stays bounded across hundreds of iterations.
+    */
+  def compacts(pieces: Int): Boolean = pieces >= CompactEvery
+
+  private def partsFor(rows: Long): Int =
+    math.max(1, math.min(shufflePartitions, (rows / 100_000L).toInt + 1))
+}
+
+private object OofPolicy {
+  /** Build/probe cost ratio α for the DSD cost model (Appendix A);
+    * calibrate offline with [[DsdCostModel.calibrate]].
+    */
+  val Alpha: Double = 2.0
+  /** Rows below which a relation side is broadcast (hash-build side). */
+  val BroadcastRows: Long = 1_500_000L
+  /** Below this R_δ size the specialized machinery (TPSD + its μ-refresh
+    * analyze, CCK hash-table dedup) cannot pay for its own per-query
+    * overhead (appendix C's caveat on OOF's extra queries), so the engine
+    * falls back to the one-shot operators.
+    */
+  val SmallDeltaRows: Long = 65_536L
+  /** Compact the growing union-of-deltas plan every this many iterations. */
+  val CompactEvery: Int = 24
 }

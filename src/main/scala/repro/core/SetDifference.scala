@@ -17,6 +17,10 @@ import org.apache.spark.sql.functions.broadcast
   * When the would-be build side exceeds the broadcast budget the join falls
   * back to sort-merge, modelling the paper's increasingly expensive build
   * phase on a growing R.
+  *
+  * The joins match on column names (the using-columns form) rather than on
+  * `l(c) === r(c)`: R_δ and R often descend from the same plan and share
+  * attribute ids, which makes such a condition trivially true.
   */
 object SetDifference {
 
@@ -43,13 +47,10 @@ object SetDifference {
   private def hinted(df: DataFrame, rows: Long, budget: Long): DataFrame =
     if (rows >= 0 && rows <= budget) broadcast(df) else df
 
-  private def equiCond(l: DataFrame, r: DataFrame) =
-    l.columns.zip(r.columns).map { case (a, b) => l(a) === r(b) }.reduce(_ && _)
-
   /** One-phase set difference: R_δ anti-join R, hash on R. */
   def opsd(rDelta: DataFrame, r: DataFrame, rRows: Long, broadcastRows: Long): DataFrame = {
     val rb = hinted(r, rRows, broadcastRows)
-    rDelta.join(rb, equiCond(rDelta, rb), "left_anti")
+    rDelta.join(rb, rb.columns.toSeq, "left_anti")
   }
 
   /** Two-phase set difference: intersection first (hash on the smaller of
@@ -63,13 +64,13 @@ object SetDifference {
     val inter =
       if (deltaRows <= rRows) {
         val b = hinted(rDelta, deltaRows, broadcastRows)
-        r.join(b, equiCond(r, b), "left_semi")
+        r.join(b, b.columns.toSeq, "left_semi")
       } else {
         val b = hinted(r, rRows, broadcastRows)
-        rDelta.join(b, equiCond(rDelta, b), "left_semi")
+        rDelta.join(b, b.columns.toSeq, "left_semi")
       }
     // |r∩| <= min(|R|,|R_δ|); use |R_δ| as its (upper-bound) size proxy.
     val interB = hinted(inter, math.min(rRows, deltaRows), broadcastRows)
-    (rDelta.join(interB, equiCond(rDelta, interB), "left_anti"), inter)
+    (rDelta.join(interB, interB.columns.toSeq, "left_anti"), inter)
   }
 }

@@ -207,17 +207,43 @@ class RecStepEngineSpec extends SparkSpec {
     assert(cc.preds == Seq("cc3") && cc.limit == 2)
   }
 
+  test("EOST off leaves the checkpoint dir as it found it and deletes its own") {
+    val sc = spark.sparkContext
+    val tmp = new java.io.File(System.getProperty("java.io.tmpdir"))
+    def ckptDirs() = tmp.listFiles().map(_.getName).filter(_.startsWith("recstep-ckpt")).toSet
+    val edb = Map("arc" -> edgesToTuples(edges1))
+    val expected = reference(Programs.tc, edb)("tc")
+    val conf = relConf.copy(eost = false)
+    val before = sc.getCheckpointDir
+    val dirsBefore = ckptDirs()
+    assert(run(engine(conf), Programs.tc, edb)("tc") == expected)
+    assert(sc.getCheckpointDir == before)
+    assert(ckptDirs() == dirsBefore)
+    // a checkpoint dir the caller set is used and left in place
+    val callerDir = java.nio.file.Files.createTempDirectory("caller-ckpt").toFile
+    try {
+      sc.setCheckpointDir(callerDir.toString)
+      val set = sc.getCheckpointDir
+      assert(run(engine(conf), Programs.tc, edb)("tc") == expected)
+      assert(sc.getCheckpointDir == set && new java.io.File(set.get.stripPrefix("file:")).exists())
+    } finally {
+      sc.setCheckpointDir(null)
+      org.apache.commons.io.FileUtils.deleteDirectory(callerDir)
+    }
+  }
+
   test("capabilities cover the full language") {
     val c = engine().capabilities
     assert(c.mutualRecursion && c.nonRecursiveAggregation && c.recursiveAggregation && c.negation)
   }
 
   test("deep chain exercises many iterations and compaction") {
-    val conf = relConf.copy(compactEvery = 5)
+    // 59 iterations with one new fact each: the union of delta pieces is
+    // compacted twice at the engine's period of 24
     val edb = Map(
-      "arc" -> edgesToTuples(GraphData.chain(40).toSet),
+      "arc" -> edgesToTuples(GraphData.chain(60).toSet),
       "nullEdge" -> Set(Vector(1L, 2L)))
-    val got = run(engine(conf), Programs.csda, edb)
+    val got = run(engine(), Programs.csda, edb)
     val expected = reference(Programs.csda, edb)
     assert(got("null") == expected("null"))
   }

@@ -83,6 +83,16 @@ class SetDifferenceSpec extends SparkSpec {
     val (t, _) = SetDifference.tpsd(dfOf(rd), dfOf(r), r.size, rd.size, 0)
     assert(o == collect(t))
     assert(o == rd -- r)
+    // R_δ derived from R shares its attribute ids, as in the engine's loop
+    val extra = randSet(30)
+    val rDf = dfOf(r)
+    val shared = rDf.union(dfOf(extra)).localCheckpoint()
+    for (budget <- Seq(0L, 1000L)) {
+      val os = collect(SetDifference.opsd(shared, rDf, r.size, budget))
+      val (ts, is) = SetDifference.tpsd(shared, rDf, r.size, r.size + extra.size, budget)
+      assert(os == extra -- r && collect(ts) == os)
+      assert(collect(is) == r)
+    }
   }
 
   test("difference against empty R is identity") {
