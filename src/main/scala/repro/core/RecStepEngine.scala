@@ -119,18 +119,20 @@ private final class Evaluation(
     for (p <- analysis.edbs) {
       val df = edbInput.getOrElse(p,
         throw new IllegalArgumentException(s"missing EDB relation '$p'"))
+      val named = df.toDF(df.columns.indices.map(i => s"c$i"): _*)
+      // One job pins the input in memory (regardless of EOST — loading is not
+      // part of the evaluation transaction) and takes its initial analyze():
+      // the row count and every column's min and max.
+      val stats = new Materialize.Counter(named,
+        (named.columns.map(c => min(col(c))) ++ named.columns.map(c => max(col(c)))).toIndexedSeq: _*)
       val st = new RelState(analysis.arities(p))
-      // Inputs are pinned in memory regardless of EOST — loading is not part
-      // of the evaluation transaction.
-      val pinned = df.toDF(df.columns.indices.map(i => s"c$i"): _*).localCheckpoint()
-      st.pieces = Vector(pinned)
-      st.rows = pinned.count() // initial analyze() on inputs
+      st.pieces = Vector(stats.observed.localCheckpoint())
+      val m = stats.metrics
+      st.rows = m.getLong(0)
       rels(p) = st
       // active-domain bound for CCK packability (negative values disable it)
       if (st.rows > 0) {
-        val stats = pinned.select(
-          (pinned.columns.map(c => max(col(c))) ++ pinned.columns.map(c => min(col(c)))).toIndexedSeq: _*).head()
-        val vals = (0 until stats.size).map(i => if (stats.isNullAt(i)) 0L else stats.getLong(i))
+        val vals = (1 until m.size).map(i => if (m.isNullAt(i)) 0L else m.getLong(i))
         if (vals.min < 0) edbMaxValue = Long.MaxValue
         else edbMaxValue = math.max(edbMaxValue, vals.max)
       }
@@ -142,27 +144,26 @@ private final class Evaluation(
 
   /** EOST: in-memory materialization only; otherwise each materialization is
     * a committed write (reliable disk checkpoint), as per-query transaction
-    * semantics would force.
+    * semantics would force. Returns the rows' count, taken in the same job.
     */
-  private def materialize(df: DataFrame): DataFrame =
-    if (conf.eost) df.localCheckpoint() else df.checkpoint()
+  private def materialize(df: DataFrame): (DataFrame, Long) = Materialize(df, reliable = !conf.eost)
 
   // ------------------------------------------------------------- resolvers
 
-  private def resolveFull(pred: String): DataFrame = {
+  /** The relation at one atom occurrence, Δ or full. Occurrences that take
+    * part in a join get OOF's build-side hint; elsewhere it would mean nothing.
+    */
+  private def relation(pred: String, useDelta: Boolean, joined: Boolean): DataFrame = {
     val st = rels(pred)
-    oof.hint(st.full, st.rows, analysis.edbs.contains(pred))
+    val (df, rows) = if (useDelta) (st.delta, st.deltaRows) else (st.full, st.rows)
+    if (joined) oof.hint(df, rows, !useDelta && analysis.edbs.contains(pred)) else df
   }
 
-  /** Resolver substituting Δ at one designated same-stratum atom occurrence. */
-  private def deltaResolver(deltaOccurrence: Int): PlanGenerator.Resolver =
-    (atom, occ) =>
-      if (occ == deltaOccurrence) {
-        val st = rels(atom.pred)
-        oof.hint(st.delta, st.deltaRows, isEdb = false)
-      } else resolveFull(atom.pred)
-
-  private val fullResolver: PlanGenerator.Resolver = (atom, _) => resolveFull(atom.pred)
+  /** Resolver substituting Δ at one designated same-stratum atom occurrence
+    * (none for iteration 1's naïve pass).
+    */
+  private def resolver(deltaOccurrence: Int): PlanGenerator.JoinAwareResolver =
+    (atom, occ, joined) => relation(atom.pred, occ == deltaOccurrence, joined)
 
   // -------------------------------------------------------- stratum loop
 
@@ -184,7 +185,7 @@ private final class Evaluation(
       // relation, so all of them read the iteration-start state (synchronous
       // semi-naïve).
       val subqueries = for (pred <- idbs) yield pred -> (
-        if (iteration == 1) s.rules.filter(_.head.pred == pred).map(r => PlanGenerator.compileRule(r, fullResolver))
+        if (iteration == 1) s.rules.filter(_.head.pred == pred).map(r => PlanGenerator.compileRule(r, resolver(-1)))
         else deltaSubqueries(s, pred))
 
       for ((pred, sq) <- subqueries) {
@@ -195,7 +196,7 @@ private final class Evaluation(
           case None      => setMerge(pred, st, uieval(sq))
         }
         if (st.deltaRows > 0) anyDelta = true
-        if (oof.compacts(st.pieces.size)) st.pieces = Vector(materialize(st.full))
+        if (oof.compacts(st.pieces.size)) st.pieces = Vector(materialize(st.full)._1)
       }
       if (!s.recursive) anyDelta = false
     }
@@ -212,14 +213,14 @@ private final class Evaluation(
       (atom, occ) <- rule.positiveAtoms.zipWithIndex
       if s.preds.contains(atom.pred)
       if rels(atom.pred).deltaRows > 0 // empty delta contributes nothing
-    } yield PlanGenerator.compileRule(rule, deltaResolver(occ))
+    } yield PlanGenerator.compileRule(rule, resolver(occ))
 
   /** uieval (Algorithm 1 line 9): the UNION ALL of one IDB's subqueries, a
     * single plan under UIE, separately materialized per subquery otherwise.
     */
   private def uieval(subqueries: Seq[DataFrame]): DataFrame =
     if (conf.uie) subqueries.reduce(_ union _)
-    else subqueries.map(materialize).reduce(_ union _) // one job per subquery
+    else subqueries.map(materialize(_)._1).reduce(_ union _) // one job per subquery
 
   // ---------------------------------------------------------- merge steps
 
@@ -227,21 +228,36 @@ private final class Evaluation(
     * difference, and ΔR appended to R as a new piece.
     */
   private def setMerge(pred: String, st: RelState, rt: DataFrame): Unit = {
-    // dedup(R_t): the hash-table size estimate is the previous R_δ (OOF's
-    // conservative approximation).
-    val rDelta = materialize(Dedup(rt, oof.fastDedup(pred, st.prevRdeltaRows, st.deltaRows),
-      edbMaxValue, oof.dedupPartitions(st.prevRdeltaRows)))
+    // dedup(R_t): partitions and hash table are sized from the previous R_δ
+    // (OOF's conservative approximation).
+    val rDelta = Dedup(rt, oof.fastDedup(pred, st.prevRdeltaRows, st.deltaRows),
+      edbMaxValue, oof.dedupPartitions(st.prevRdeltaRows), oof.dedupRows(st.prevRdeltaRows))
 
-    // analyze(R_δ, R): |R| is tracked incrementally; |R_δ| needs a job.
-    val rDeltaRows = rDelta.count()
-    st.prevRdeltaRows = rDeltaRows
-    oof.fullAnalyze(rDelta)
-
-    // ΔR ← R_δ − R via DSD
-    st.delta = materialize(oof.repartitionDelta(setDifference(st, rDelta, rDeltaRows), rDeltaRows))
-    st.deltaRows = st.delta.count()
-    if (st.deltaRows > 0) st.pieces :+= st.delta
-    st.rows += st.deltaRows
+    // ΔR ← R_δ − R via DSD; analyze(R_δ, R): |R| is tracked incrementally,
+    // |R_δ| and |ΔR| are counted by the jobs that materialize them.
+    val (delta, deltaRows) =
+      if (oof.tpsdPossible(st.prevRdeltaRows)) {
+        // TPSD reads R_δ twice and DSD needs its exact size: materialize it.
+        val (rd, rdRows) = materialize(rDelta)
+        st.prevRdeltaRows = rdRows
+        oof.fullAnalyze(rd)
+        materialize(oof.repartitionDelta(setDifference(st, rd, rdRows), rdRows))
+      } else {
+        // OPSD: dedup and the anti-join are one plan and one job, which also
+        // counts R_δ. ΔR keeps the dedup's partitioning, which OOF sized from
+        // the previous |R_δ|; the exact count is known only after the job.
+        val rd = new Materialize.Counter(rDelta)
+        val out = materialize(
+          if (st.rows == 0) rd.observed // R_δ − ∅ = R_δ
+          else SetDifference.opsd(rd.observed, st.full, st.rows, OofPolicy.BroadcastRows))
+        st.prevRdeltaRows = rd.rows
+        oof.fullAnalyze(out._1)
+        out
+      }
+    st.delta = delta
+    st.deltaRows = deltaRows
+    if (deltaRows > 0) st.pieces :+= delta
+    st.rows += deltaRows
   }
 
   private def setDifference(st: RelState, rDelta: DataFrame, rDeltaRows: Long): DataFrame =
@@ -259,13 +275,13 @@ private final class Evaluation(
     * replaces R's pieces; ΔR = strictly-improved rows.
     */
   private def aggMerge(st: RelState, sig: AggSignature, cand: DataFrame): Unit = {
-    val merged = materialize(mergeAgg(st.full.union(cand), sig))
-    val mergedRows = merged.count()
+    val (merged, mergedRows) = materialize(mergeAgg(st.full.union(cand), sig))
     // improved rows: in merged but not in old R (keys are unique per side,
     // so an all-column anti-join captures both new keys and better values).
-    st.delta = materialize(
+    val (delta, deltaRows) = materialize(
       SetDifference.opsd(merged, st.full, st.rows, OofPolicy.BroadcastRows))
-    st.deltaRows = st.delta.count()
+    st.delta = delta
+    st.deltaRows = deltaRows
     st.pieces = Vector(merged)
     st.rows = mergedRows
   }
@@ -339,6 +355,11 @@ private final class OofPolicy(conf: RecStepConf, analysis: Analyzer.Analysis, sh
   def dedupPartitions(prevRdeltaRows: Long): Int =
     if (adaptive) partsFor(math.max(prevRdeltaRows, 1024L)) else shufflePartitions
 
+  /** Expected dedup output (the previous R_δ) for sizing its hash tables;
+    * unknown (0) under OOF-NA.
+    */
+  def dedupRows(prevRdeltaRows: Long): Long = if (adaptive) prevRdeltaRows else 0L
+
   /** Small expected dedups cannot amortize the CCK path's extra exchange
     * (the hash table is sized from OOF's estimate, §5.1) — use the plain
     * aggregate below the threshold. Without stats (OOF-NA) the size is
@@ -356,6 +377,17 @@ private final class OofPolicy(conf: RecStepConf, analysis: Analyzer.Analysis, sh
         Seq(min(col(c)), max(col(c)), approx_count_distinct(col(c)), avg(col(c))))
       df.agg(aggs.head, aggs.tail.toIndexedSeq: _*).collect()
     }
+
+  /** Can DSD pick TPSD this iteration? Only then is R_δ materialized on its
+    * own (TPSD reads it twice); otherwise dedup and OPSD run as one plan.
+    * The dynamic choice needs fresh stats, and it keeps OPSD for an R_δ
+    * below [[SmallDeltaRows]], judged here by the previous iteration's.
+    */
+  def tpsdPossible(prevRdeltaRows: Long): Boolean = conf.dsd match {
+    case DsdMode.Opsd    => false
+    case DsdMode.Tpsd    => true
+    case DsdMode.Dynamic => adaptive && prevRdeltaRows >= SmallDeltaRows
+  }
 
   /** DSD's choice between TPSD and OPSD for R_δ − R. */
   def useTpsd(rRows: Long, rDeltaRows: Long, mu: Double): Boolean = conf.dsd match {

@@ -27,13 +27,15 @@ sealed trait Expr extends Product with Serializable {
     case EMul(l, r) => l.vars ++ r.vars
   }
 
-  /** Evaluate under a binding of every referenced variable. */
+  /** Evaluate under a binding of every referenced variable; a result outside
+    * the Long range raises `ArithmeticException` instead of wrapping.
+    */
   def eval(binding: Map[String, Long]): Long = this match {
     case EVar(n)    => binding(n)
     case ELit(v)    => v
-    case EAdd(l, r) => l.eval(binding) + r.eval(binding)
-    case ESub(l, r) => l.eval(binding) - r.eval(binding)
-    case EMul(l, r) => l.eval(binding) * r.eval(binding)
+    case EAdd(l, r) => Math.addExact(l.eval(binding), r.eval(binding))
+    case ESub(l, r) => Math.subtractExact(l.eval(binding), r.eval(binding))
+    case EMul(l, r) => Math.multiplyExact(l.eval(binding), r.eval(binding))
   }
 }
 final case class EVar(name: String) extends Expr

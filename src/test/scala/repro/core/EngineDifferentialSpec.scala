@@ -7,8 +7,10 @@ import repro.baselines.bdd.BddEngine
 import repro.baselines.bigdatalog.BigDatalogLite
 import repro.baselines.graspan.GraspanLite
 import repro.baselines.souffle.SouffleLite
+import repro.datalog.Parser
 import repro.graphs.GraphData
 import repro.programs.Programs
+import repro.ref.NaiveEvaluator
 
 /** Cross-engine differential testing: every engine that supports a workload
   * must produce the identical fixpoint on randomized inputs — the strongest
@@ -93,5 +95,32 @@ class EngineDifferentialSpec extends SparkSpec {
     val ssspExpected = reference(Programs.sssp, ssspEdb)("sssp")
     for (e <- Seq[DatalogEngine](recstep, bigdatalog))
       assert(runEngine(e, Programs.sssp, ssspEdb).apply("sssp") == ssspExpected, s"${e.name} diverged")
+  }
+
+  test("path weights summing past Long.MaxValue fail with an arithmetic overflow") {
+    // RecStep's arithmetic runs in Spark SQL, which raises on overflow only
+    // in ANSI mode.
+    assert(spark.conf.get("spark.sql.ansi.enabled").toBoolean, "the test session must run in ANSI mode")
+    val half = Long.MaxValue / 2 + 1 // two of these sum to 2^63
+    val edb = Map(
+      "arc" -> Set(Vector(1L, 2L, 5L), Vector(2L, 3L, half), Vector(3L, 4L, half)),
+      "id" -> Set(Vector(1L)))
+    def overflows(run: => Any): Boolean =
+      try { run; false }
+      catch {
+        case t: Throwable =>
+          Iterator.iterate(t)(_.getCause).takeWhile(_ != null).exists(_.isInstanceOf[ArithmeticException])
+      }
+    // SSSP without the MIN, which Souffle-lite (no recursive aggregation) runs
+    val pathSum = Parser.parse(
+      """dist(y, d) :- id(x), arc(x, y, d).
+        |dist(y, d1 + d2) :- dist(x, d1), arc(x, y, d2).""".stripMargin)
+    val inMemory = edb.map { case (p, ts) => p -> ts.toSeq.map(_.toArray) }
+    assert(overflows(NaiveEvaluator.evaluate(pathSum, edb)), "NaiveEvaluator")
+    assert(overflows(souffle.evaluateInMemory(pathSum, inMemory)), "Souffle-lite")
+    assert(overflows(runEngine(recstep, pathSum, edb)), "RecStep")
+    // SSSP itself, on the engines with recursive MIN
+    assert(overflows(NaiveEvaluator.evaluate(Programs.sssp, edb)), "NaiveEvaluator (SSSP)")
+    assert(overflows(runEngine(recstep, Programs.sssp, edb)), "RecStep (SSSP)")
   }
 }

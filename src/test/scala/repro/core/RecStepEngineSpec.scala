@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.TestUtil._
@@ -246,5 +247,43 @@ class RecStepEngineSpec extends SparkSpec {
     val got = run(engine(), Programs.csda, edb)
     val expected = reference(Programs.csda, edb)
     assert(got("null") == expected("null"))
+  }
+
+  test("a one-tuple Δ costs at most two Spark jobs per iteration, broadcasts aside") {
+    // CSDA over a chain: iteration k derives only null(1, k+1), so n
+    // iterations (the last finds nothing new). Each set merge step is one
+    // materialization: the dedup's shuffle stage and its result stage.
+    val n = 20
+    val edb = edbToDF(spark, Map(
+      "arc" -> edgesToTuples(GraphData.chain(n).toSet),
+      "nullEdge" -> Set(Vector(1L, 2L))))
+    val sc = spark.sparkContext
+    val Marker = "job-budget-marker"
+    val jobs = new SparkListener {
+      @volatile var plain, broadcasts = 0
+      @volatile var sawMarker = false
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        def prop(k: String) = Option(e.properties).flatMap(p => Option(p.getProperty(k))).getOrElse("")
+        if (prop("spark.job.description") == Marker) sawMarker = true
+        else if (Seq("spark.job.description", "spark.job.tags").exists(k => prop(k).contains("broadcast exchange")))
+          broadcasts += 1
+        else plain += 1
+      }
+    }
+    sc.addSparkListener(jobs)
+    try {
+      val out = engine().evaluate(Programs.csda, edb)
+      // Listener events arrive in order: once the marker job is seen, every
+      // job of the evaluation has been counted.
+      sc.setJobDescription(Marker)
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+      val deadline = System.nanoTime() + 30L * 1000000000L
+      while (!jobs.sawMarker && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(jobs.sawMarker, "listener events did not arrive")
+      info(s"${jobs.plain} non-broadcast and ${jobs.broadcasts} broadcast jobs for $n iterations")
+      assert(jobs.plain <= 2 * n + 8,
+        s"${jobs.plain} non-broadcast jobs (and ${jobs.broadcasts} broadcasts) for $n iterations")
+      assert(dfToSet(out("null")) == (2L to n.toLong).map(v => Vector(1L, v)).toSet)
+    } finally sc.removeSparkListener(jobs)
   }
 }
