@@ -54,35 +54,18 @@ object Dedup {
     }
   }
 
-  /** Most keys one partition's hash table is presized for (a 16 MB table),
-    * so that a wrong estimate cannot allocate gigabytes; a partition that
-    * gets more keys grows its table as it fills.
-    */
-  val MaxPresizedKeys: Long = 1L << 20
-
-  /** Keys one partition's hash table is sized for: its share of the
-    * `expectedRows` output rows, at most [[MaxPresizedKeys]]; 0 (use the
-    * table's default size) when there is no estimate.
-    */
-  def tableKeys(expectedRows: Long, numPartitions: Int): Int =
-    if (expectedRows <= 0) 0
-    else math.min(MaxPresizedKeys, (expectedRows - 1) / numPartitions + 1).toInt
-
   /** FAST-DEDUP over an all-Long DataFrame with columns c0..c{n-1}.
-    * `numPartitions` and `expectedRows` (the expected distinct rows, 0 if
-    * unknown) are the pre-allocation knobs driven by OOF stats.
+    * `numPartitions` is the pre-allocation knob driven by OOF stats.
     */
-  def fast(df: DataFrame, numPartitions: Int, expectedRows: Long = 0L): DataFrame = {
+  def fast(df: DataFrame, numPartitions: Int): DataFrame = {
     val spark = df.sparkSession
     import spark.implicits._
     val arity = df.columns.length
-    val parts = math.max(1, numPartitions)
-    val keys = tableKeys(expectedRows, parts)
     val packed = df.select(packExpr(arity).as("ck")).as[Long]
     val deduped = packed
-      .repartition(parts, col("ck"))
+      .repartition(math.max(1, numPartitions), col("ck"))
       .mapPartitions { it =>
-        val set = if (keys > 0) LongHashSet.forKeys(keys) else new LongHashSet()
+        val set = new LongHashSet()
         it.filter(set.add)
       }
     deduped.toDF("ck").select(unpackExprs(arity, col("ck")): _*)
@@ -94,10 +77,9 @@ object Dedup {
       .dropDuplicates(df.columns.toIndexedSeq)
 
   /** Dispatch per configuration and packability. */
-  def apply(df: DataFrame, fastEnabled: Boolean, maxValue: Long, numPartitions: Int,
-            expectedRows: Long = 0L): DataFrame = {
+  def apply(df: DataFrame, fastEnabled: Boolean, maxValue: Long, numPartitions: Int): DataFrame = {
     val arity = df.columns.length
-    if (fastEnabled && canPack(arity, maxValue)) fast(df, numPartitions, expectedRows)
+    if (fastEnabled && canPack(arity, maxValue)) fast(df, numPartitions)
     else generic(df, numPartitions)
   }
 }

@@ -12,8 +12,7 @@ import repro.datalog._
   *
   * Relations are supplied by a [[PlanGenerator.Resolver]] so the engine can
   * substitute Δ-relations at chosen atom occurrences (semi-naïve rewriting)
-  * and, through a [[PlanGenerator.JoinAwareResolver]], wrap small relations
-  * that take part in a join in `broadcast` hints (OOF's build-side choice).
+  * and wrap small relations in `broadcast` hints (OOF's build-side choice).
   */
 object PlanGenerator {
 
@@ -21,12 +20,6 @@ object PlanGenerator {
     * (positive atoms first, in order, then negated atoms).
     */
   type Resolver = (BAtom, Int) => DataFrame
-
-  /** A [[Resolver]] also told whether the occurrence takes part in a join or
-    * anti-join, the only place a build-side hint means anything: the lone
-    * atom of a rule such as `p(x,y) :- q(x,y)` takes part in none.
-    */
-  type JoinAwareResolver = (BAtom, Int, Boolean) => DataFrame
 
   final case class CompileException(msg: String) extends RuntimeException(msg)
 
@@ -38,17 +31,9 @@ object PlanGenerator {
     * and iterations, which is sound because MIN/MAX are idempotent and
     * associative.
     */
-  def compileRule(rule: Rule, resolve: Resolver): DataFrame =
-    compileRule(rule, (atom: BAtom, occ: Int, _: Boolean) => resolve(atom, occ))
-
-  /** As above; every atom occurrence of a rule with two or more body atoms
-    * (positive or negated) is resolved as taking part in a join.
-    */
-  def compileRule(rule: Rule, resolveJoined: JoinAwareResolver): DataFrame = {
+  def compileRule(rule: Rule, resolve: Resolver): DataFrame = {
     val positives = rule.positiveAtoms
-    if (positives.isEmpty) return compileFact(rule)
-    val joined = positives.size + rule.negatedAtoms.size > 1
-    val resolve: Resolver = (atom, occ) => resolveJoined(atom, occ, joined)
+    if (positives.isEmpty) return compileFact(rule, resolve)
 
     // --- join chain over positive atoms -----------------------------------
     var varCol = Map.empty[String, String] // variable -> bound column name
@@ -93,7 +78,7 @@ object PlanGenerator {
   }
 
   /** A ground fact rule (empty body): a single constant row. */
-  private def compileFact(rule: Rule): DataFrame = {
+  private def compileFact(rule: Rule, resolve: Resolver): DataFrame = {
     require(rule.negatedAtoms.isEmpty && rule.comparisons.isEmpty,
       s"fact rule must have an empty body: $rule")
     val spark = org.apache.spark.sql.SparkSession.active

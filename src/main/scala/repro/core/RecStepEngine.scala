@@ -144,9 +144,13 @@ private final class Evaluation(
 
   /** EOST: in-memory materialization only; otherwise each materialization is
     * a committed write (reliable disk checkpoint), as per-query transaction
-    * semantics would force. Returns the rows' count, taken in the same job.
+    * semantics would force.
     */
-  private def materialize(df: DataFrame): (DataFrame, Long) = Materialize(df, reliable = !conf.eost)
+  private def materialize(df: DataFrame): DataFrame =
+    if (conf.eost) df.localCheckpoint() else df.checkpoint()
+
+  /** [[materialize]], also returning the rows' count, taken in the same job. */
+  private def materializeCounted(df: DataFrame): (DataFrame, Long) = Materialize(df, reliable = !conf.eost)
 
   // ------------------------------------------------------------- resolvers
 
@@ -159,11 +163,14 @@ private final class Evaluation(
     if (joined) oof.hint(df, rows, !useDelta && analysis.edbs.contains(pred)) else df
   }
 
-  /** Resolver substituting Δ at one designated same-stratum atom occurrence
-    * (none for iteration 1's naïve pass).
+  /** Compile `rule` with Δ substituted at one designated same-stratum atom
+    * occurrence (none for iteration 1's naïve pass). Its atoms take part in a
+    * join, or anti-join, when the body has two or more of them.
     */
-  private def resolver(deltaOccurrence: Int): PlanGenerator.JoinAwareResolver =
-    (atom, occ, joined) => relation(atom.pred, occ == deltaOccurrence, joined)
+  private def compile(rule: Rule, deltaOccurrence: Int): DataFrame = {
+    val joined = rule.positiveAtoms.size + rule.negatedAtoms.size > 1
+    PlanGenerator.compileRule(rule, (atom, occ) => relation(atom.pred, occ == deltaOccurrence, joined))
+  }
 
   // -------------------------------------------------------- stratum loop
 
@@ -185,7 +192,7 @@ private final class Evaluation(
       // relation, so all of them read the iteration-start state (synchronous
       // semi-naïve).
       val subqueries = for (pred <- idbs) yield pred -> (
-        if (iteration == 1) s.rules.filter(_.head.pred == pred).map(r => PlanGenerator.compileRule(r, resolver(-1)))
+        if (iteration == 1) s.rules.filter(_.head.pred == pred).map(compile(_, -1))
         else deltaSubqueries(s, pred))
 
       for ((pred, sq) <- subqueries) {
@@ -196,7 +203,7 @@ private final class Evaluation(
           case None      => setMerge(pred, st, uieval(sq))
         }
         if (st.deltaRows > 0) anyDelta = true
-        if (oof.compacts(st.pieces.size)) st.pieces = Vector(materialize(st.full)._1)
+        if (oof.compacts(st.pieces.size)) st.pieces = Vector(materialize(st.full))
       }
       if (!s.recursive) anyDelta = false
     }
@@ -213,14 +220,14 @@ private final class Evaluation(
       (atom, occ) <- rule.positiveAtoms.zipWithIndex
       if s.preds.contains(atom.pred)
       if rels(atom.pred).deltaRows > 0 // empty delta contributes nothing
-    } yield PlanGenerator.compileRule(rule, resolver(occ))
+    } yield compile(rule, occ)
 
   /** uieval (Algorithm 1 line 9): the UNION ALL of one IDB's subqueries, a
     * single plan under UIE, separately materialized per subquery otherwise.
     */
   private def uieval(subqueries: Seq[DataFrame]): DataFrame =
     if (conf.uie) subqueries.reduce(_ union _)
-    else subqueries.map(materialize(_)._1).reduce(_ union _) // one job per subquery
+    else subqueries.map(materialize).reduce(_ union _) // one job per subquery
 
   // ---------------------------------------------------------- merge steps
 
@@ -228,26 +235,26 @@ private final class Evaluation(
     * difference, and ΔR appended to R as a new piece.
     */
   private def setMerge(pred: String, st: RelState, rt: DataFrame): Unit = {
-    // dedup(R_t): partitions and hash table are sized from the previous R_δ
-    // (OOF's conservative approximation).
+    // dedup(R_t): partitions are sized from the previous R_δ (OOF's
+    // conservative approximation).
     val rDelta = Dedup(rt, oof.fastDedup(pred, st.prevRdeltaRows, st.deltaRows),
-      edbMaxValue, oof.dedupPartitions(st.prevRdeltaRows), oof.dedupRows(st.prevRdeltaRows))
+      edbMaxValue, oof.dedupPartitions(st.prevRdeltaRows))
 
     // ΔR ← R_δ − R via DSD; analyze(R_δ, R): |R| is tracked incrementally,
     // |R_δ| and |ΔR| are counted by the jobs that materialize them.
     val (delta, deltaRows) =
       if (oof.tpsdPossible(st.prevRdeltaRows)) {
         // TPSD reads R_δ twice and DSD needs its exact size: materialize it.
-        val (rd, rdRows) = materialize(rDelta)
+        val (rd, rdRows) = materializeCounted(rDelta)
         st.prevRdeltaRows = rdRows
         oof.fullAnalyze(rd)
-        materialize(oof.repartitionDelta(setDifference(st, rd, rdRows), rdRows))
+        materializeCounted(oof.repartitionDelta(setDifference(st, rd, rdRows), rdRows))
       } else {
         // OPSD: dedup and the anti-join are one plan and one job, which also
         // counts R_δ. ΔR keeps the dedup's partitioning, which OOF sized from
         // the previous |R_δ|; the exact count is known only after the job.
         val rd = new Materialize.Counter(rDelta)
-        val out = materialize(
+        val out = materializeCounted(
           if (st.rows == 0) rd.observed // R_δ − ∅ = R_δ
           else SetDifference.opsd(rd.observed, st.full, st.rows, OofPolicy.BroadcastRows))
         st.prevRdeltaRows = rd.rows
@@ -275,10 +282,10 @@ private final class Evaluation(
     * replaces R's pieces; ΔR = strictly-improved rows.
     */
   private def aggMerge(st: RelState, sig: AggSignature, cand: DataFrame): Unit = {
-    val (merged, mergedRows) = materialize(mergeAgg(st.full.union(cand), sig))
+    val (merged, mergedRows) = materializeCounted(mergeAgg(st.full.union(cand), sig))
     // improved rows: in merged but not in old R (keys are unique per side,
     // so an all-column anti-join captures both new keys and better values).
-    val (delta, deltaRows) = materialize(
+    val (delta, deltaRows) = materializeCounted(
       SetDifference.opsd(merged, st.full, st.rows, OofPolicy.BroadcastRows))
     st.delta = delta
     st.deltaRows = deltaRows
@@ -355,15 +362,9 @@ private final class OofPolicy(conf: RecStepConf, analysis: Analyzer.Analysis, sh
   def dedupPartitions(prevRdeltaRows: Long): Int =
     if (adaptive) partsFor(math.max(prevRdeltaRows, 1024L)) else shufflePartitions
 
-  /** Expected dedup output (the previous R_δ) for sizing its hash tables;
-    * unknown (0) under OOF-NA.
-    */
-  def dedupRows(prevRdeltaRows: Long): Long = if (adaptive) prevRdeltaRows else 0L
-
-  /** Small expected dedups cannot amortize the CCK path's extra exchange
-    * (the hash table is sized from OOF's estimate, §5.1) — use the plain
-    * aggregate below the threshold. Without stats (OOF-NA) the size is
-    * unknown, so eligible IDBs always take the CCK path.
+  /** Small expected dedups cannot amortize the CCK path's extra exchange —
+    * use the plain aggregate below the threshold. Without stats (OOF-NA) the
+    * size is unknown, so eligible IDBs always take the CCK path.
     */
   def fastDedup(pred: String, prevRdeltaRows: Long, deltaRows: Long): Boolean =
     cckPreds.contains(pred) && (!adaptive || math.max(prevRdeltaRows, deltaRows) >= SmallDeltaRows)

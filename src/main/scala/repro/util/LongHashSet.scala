@@ -61,8 +61,3 @@ final class LongHashSet(initialCapacity: Int = 1 << 10) {
     while (j < old.length) { if (old(j) != Empty) add(old(j)); j += 1 }
   }
 }
-
-object LongHashSet {
-  /** A set that holds `keys` keys before its table first grows. */
-  def forKeys(keys: Int): LongHashSet = new LongHashSet(((keys * 4L + 2) / 3).toInt)
-}

@@ -97,22 +97,4 @@ class DedupSpec extends SparkSpec {
     val out = Dedup.fast(dfOf(withDups, 2), 16)
     assert(out.count() == 5000)
   }
-
-  test("fast dedup presized from an estimate returns the same rows as without one") {
-    val rnd = new scala.util.Random(11)
-    val tuples = Seq.fill(20000)(Vector(rnd.nextInt(200).toLong, rnd.nextInt(200).toLong))
-    val df = dfOf(tuples, 2)
-    val unsized = collect(Dedup.fast(df, 4))
-    for (estimate <- Seq(1L, 100L, 20000L, Long.MaxValue))
-      assert(collect(Dedup.fast(df, 4, expectedRows = estimate)) == unsized, s"estimate $estimate")
-    assert(unsized == tuples.toSet)
-  }
-
-  test("hash-table size is the estimate's share per partition, capped") {
-    assert(Dedup.tableKeys(0L, 4) == 0) // no estimate: the table's default
-    assert(Dedup.tableKeys(1L, 4) == 1)
-    assert(Dedup.tableKeys(10L, 4) == 3)
-    assert(Dedup.tableKeys(4096L, 4) == 1024)
-    assert(Dedup.tableKeys(Long.MaxValue, 1) == Dedup.MaxPresizedKeys)
-  }
 }

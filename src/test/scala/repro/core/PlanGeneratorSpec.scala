@@ -155,21 +155,6 @@ class PlanGeneratorSpec extends SparkSpec {
     val df1 = PlanGenerator.compileRule(rule, (_, occ) => if (occ == 1) delta else full)
     assert(TestSetOps.toSet(df1) == Set(Vector(1L, 3L)))
   }
-
-  test("a join-aware resolver learns which occurrences take part in a join") {
-    def joinedFlags(ruleSrc: String): Seq[(Int, Boolean)] = {
-      val seen = Seq.newBuilder[(Int, Boolean)]
-      PlanGenerator.compileRule(Parser.parseRule(ruleSrc),
-        (atom: repro.datalog.BAtom, occ: Int, joined: Boolean) => {
-          seen += occ -> joined
-          if (atom.pred == "n") rel1(1) else e
-        })
-      seen.result()
-    }
-    assert(joinedFlags("p(x, y) :- e(x, y).") == Seq(0 -> false)) // a lone atom joins nothing
-    assert(joinedFlags("p(x, z) :- e(x, y), e(y, z).") == Seq(0 -> true, 1 -> true))
-    assert(joinedFlags("p(x, y) :- e(x, y), !n(x).") == Seq(0 -> true, 1 -> true)) // anti-join
-  }
 }
 
 private object TestSetOps {

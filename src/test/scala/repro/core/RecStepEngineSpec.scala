@@ -249,16 +249,12 @@ class RecStepEngineSpec extends SparkSpec {
     assert(got("null") == expected("null"))
   }
 
-  test("a one-tuple Δ costs at most two Spark jobs per iteration, broadcasts aside") {
-    // CSDA over a chain: iteration k derives only null(1, k+1), so n
-    // iterations (the last finds nothing new). Each set merge step is one
-    // materialization: the dedup's shuffle stage and its result stage.
-    val n = 20
-    val edb = edbToDF(spark, Map(
-      "arc" -> edgesToTuples(GraphData.chain(n).toSet),
-      "nullEdge" -> Set(Vector(1L, 2L))))
+  /** Runs `body` and counts the Spark jobs it starts: (result, non-broadcast
+    * jobs, broadcast jobs).
+    */
+  private def countingJobs[A](body: => A): (A, Int, Int) = {
     val sc = spark.sparkContext
-    val Marker = "job-budget-marker"
+    val Marker = "job-count-marker"
     val jobs = new SparkListener {
       @volatile var plain, broadcasts = 0
       @volatile var sawMarker = false
@@ -272,18 +268,54 @@ class RecStepEngineSpec extends SparkSpec {
     }
     sc.addSparkListener(jobs)
     try {
-      val out = engine().evaluate(Programs.csda, edb)
+      val out = body
       // Listener events arrive in order: once the marker job is seen, every
-      // job of the evaluation has been counted.
+      // job of `body` has been counted.
       sc.setJobDescription(Marker)
       try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
       val deadline = System.nanoTime() + 30L * 1000000000L
       while (!jobs.sawMarker && System.nanoTime() < deadline) Thread.sleep(10)
       assert(jobs.sawMarker, "listener events did not arrive")
-      info(s"${jobs.plain} non-broadcast and ${jobs.broadcasts} broadcast jobs for $n iterations")
-      assert(jobs.plain <= 2 * n + 8,
-        s"${jobs.plain} non-broadcast jobs (and ${jobs.broadcasts} broadcasts) for $n iterations")
-      assert(dfToSet(out("null")) == (2L to n.toLong).map(v => Vector(1L, v)).toSet)
+      (out, jobs.plain, jobs.broadcasts)
     } finally sc.removeSparkListener(jobs)
+  }
+
+  test("a one-tuple Δ costs at most two Spark jobs per iteration, broadcasts aside") {
+    // CSDA over a chain: iteration k derives only null(1, k+1), so n
+    // iterations (the last finds nothing new). Each set merge step is one
+    // materialization: the dedup's shuffle stage and its result stage.
+    val n = 20
+    val edb = edbToDF(spark, Map(
+      "arc" -> edgesToTuples(GraphData.chain(n).toSet),
+      "nullEdge" -> Set(Vector(1L, 2L))))
+    val (out, plain, broadcasts) = countingJobs(engine().evaluate(Programs.csda, edb))
+    info(s"$plain non-broadcast and $broadcasts broadcast jobs for $n iterations")
+    assert(plain <= 2 * n + 8, s"$plain non-broadcast jobs (and $broadcasts broadcasts) for $n iterations")
+    assert(dfToSet(out("null")) == (2L to n.toLong).map(v => Vector(1L, v)).toSet)
+  }
+
+  test("dynamic DSD materializes R_δ on its own once the previous R_δ reaches SmallDeltaRows") {
+    // TC over groups a→b→c→d plus a→c. Iteration 1's R_δ is all 4·groups
+    // arcs; iteration 2 derives tc(a,c) again, which the set difference must
+    // drop, and tc(b,d) and tc(a,d), which it must keep. Only iteration 2's
+    // merge step can differ between Dynamic and OPSD-only DSD: it
+    // materializes R_δ separately exactly when 4·groups >= SmallDeltaRows.
+    def nonBroadcastJobs(groups: Int, dsd: DsdMode): Int = {
+      val arcs = (0 until groups).flatMap { g =>
+        val a = 4L * g
+        Seq((a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a, a + 2))
+      }
+      val closure = (0 until groups).flatMap { g =>
+        for (i <- 0 to 2; j <- i + 1 to 3) yield Vector(4L * g + i, 4L * g + j)
+      }.toSet
+      val (out, plain, _) = countingJobs(
+        engine(relConf.copy(dsd = dsd)).evaluate(Programs.tc, Map("arc" -> edgesDF(spark, arcs))))
+      assert(dfToSet(out("tc")) == closure, s"$dsd over $groups groups")
+      plain
+    }
+    val above = (OofPolicy.SmallDeltaRows / 4 + 1).toInt
+    val below = (OofPolicy.SmallDeltaRows / 4 - 1).toInt
+    assert(nonBroadcastJobs(above, DsdMode.Dynamic) > nonBroadcastJobs(above, DsdMode.Opsd))
+    assert(nonBroadcastJobs(below, DsdMode.Dynamic) == nonBroadcastJobs(below, DsdMode.Opsd))
   }
 }
