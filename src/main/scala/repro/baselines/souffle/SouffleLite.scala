@@ -267,9 +267,9 @@ final class SouffleLite(threads: Int = Runtime.getRuntime.availableProcessors())
           out(i) = op match {
             case AggOp.Min   => vals.min
             case AggOp.Max   => vals.max
-            case AggOp.Sum   => vals.sum
+            case AggOp.Sum   => vals.foldLeft(0L)(Math.addExact) // raises on overflow, like Expr.eval
             case AggOp.Count => vals.size.toLong
-            case AggOp.Avg   => vals.sum / vals.size
+            case AggOp.Avg   => vals.foldLeft(0L)(Math.addExact) / vals.size
           }
         case _ => ()
       }

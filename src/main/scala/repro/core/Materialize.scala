@@ -1,7 +1,9 @@
 package repro.core
 
 import java.util.concurrent.TimeoutException
+import org.apache.spark.repro.SparkInternals
 import org.apache.spark.sql.{Column, DataFrame, Observation, Row}
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions.{count, lit}
 import scala.concurrent.Await
 import scala.concurrent.duration._
@@ -46,5 +48,14 @@ private[core] object Materialize {
     val c = new Counter(df)
     val out = if (reliable) c.observed.checkpoint() else c.observed.localCheckpoint()
     (out, c.rows)
+  }
+
+  /** Frees the cached blocks of a relation that `localCheckpoint` returned;
+    * no plan may read it afterwards. Anything else, such as a union of such
+    * relations, is left alone, and a reliable checkpoint holds no blocks.
+    */
+  def release(df: DataFrame): Unit = df.queryExecution.logical match {
+    case r: LogicalRDD => SparkInternals.unpersist(r.rdd.sparkContext, r.rdd.id)
+    case _             => ()
   }
 }

@@ -65,22 +65,32 @@ private final class Evaluation(
 
   /** State of one relation: checkpointed delta pieces whose union is the
     * full relation, the exact row count (maintained incrementally — ΔR is
-    * disjoint from R by construction), and OOF bookkeeping (previous R_δ
-    * size as the dedup-size estimate, previous μ for the DSD model).
+    * disjoint from R by construction), the id of R's key set in [[KeySets]]
+    * while its stratum runs the key-set merge step, and OOF bookkeeping
+    * (the previous dedup's size as the next one's estimate: |R_δ| on the
+    * pieces path, |R_t| on the key-set path; previous μ for the DSD model).
     */
   private final class RelState(val arity: Int) {
     var pieces: Vector[DataFrame] = Vector.empty
     var rows: Long = 0L
     var delta: DataFrame = emptyRel(arity)
     var deltaRows: Long = 0L
-    var prevRdeltaRows: Long = 0L
+    var keySet: Option[Long] = None
+    var prevDedupRows: Long = 0L
     var mu: Double = 10.0
     def full: DataFrame = if (pieces.isEmpty) emptyRel(arity) else pieces.reduce(_ union _)
+    /** Every materialization the state still reads. */
+    def held: Vector[DataFrame] = pieces :+ delta
   }
 
   private val rels = mutable.Map.empty[String, RelState]
   private var edbMaxValue: Long = 0L
-  private val oof = new OofPolicy(conf, analysis, spark.conf.get("spark.sql.shuffle.partitions").toInt)
+  private val oof = new OofPolicy(conf, analysis, spark.conf.get("spark.sql.shuffle.partitions").toInt,
+    spark.sparkContext.defaultParallelism, spark.sparkContext.master)
+  /** Materializations this iteration made and no relation holds: R_δ
+    * materialized for TPSD, and UIE off's per-subquery results.
+    */
+  private val superseded = mutable.ArrayBuffer.empty[DataFrame]
 
   def run(): Map[String, DataFrame] = {
     val sc = spark.sparkContext
@@ -104,12 +114,19 @@ private final class Evaluation(
       }
       for (p <- analysis.idbs) rels(p) = new RelState(analysis.arities(p))
       analysis.strata.foreach(evalStratum)
-      val out = analysis.idbs.map(p => p -> rels(p).full).toMap
+      val full = analysis.idbs.map(p => p -> rels(p).full).toMap
       // The checkpoint files are deleted with the dir: pin the results first.
-      if (ownDir.isEmpty) out else out.map { case (p, df) => p -> df.localCheckpoint() }
-    } finally ownDir.foreach { d =>
-      sc.setCheckpointDir(null)
-      FileUtils.deleteDirectory(d)
+      val out = if (ownDir.isEmpty) full else full.map { case (p, df) => p -> df.localCheckpoint() }
+      // No result reads the loaded copies of the EDBs.
+      analysis.edbs.foreach(rels(_).pieces.foreach(Materialize.release))
+      out
+    } finally {
+      // Also on an exception or an interrupt: no key set outlives the run.
+      rels.valuesIterator.flatMap(_.keySet).foreach(KeySets.release)
+      ownDir.foreach { d =>
+        sc.setCheckpointDir(null)
+        FileUtils.deleteDirectory(d)
+      }
     }
   }
 
@@ -183,11 +200,14 @@ private final class Evaluation(
       throw UnsupportedProgramException("RecStep",
         s"stratum mixes aggregated and plain IDBs: ${s.preds.mkString(", ")}")
     val idbs = s.preds.toSeq.sorted
+    if (s.recursiveAggs.isEmpty)
+      for (p <- idbs if oof.keySets(p, rels(p).arity, edbMaxValue)) rels(p).keySet = Some(KeySets.open())
     var iteration = 0
     var anyDelta = true
     while (anyDelta && iteration < conf.maxIterations) {
       iteration += 1
       anyDelta = false
+      val held = idbs.flatMap(rels(_).held)
       // Every IDB's subqueries are planned before any merge step replaces a
       // relation, so all of them read the iteration-start state (synchronous
       // semi-naïve).
@@ -205,12 +225,33 @@ private final class Evaluation(
         if (st.deltaRows > 0) anyDelta = true
         if (oof.compacts(st.pieces.size)) st.pieces = Vector(materialize(st.full))
       }
+      release(idbs, held)
       if (!s.recursive) anyDelta = false
     }
     // Fail if the loop stopped at the iteration cap with facts still pending;
-    // otherwise leave no stale deltas behind for later strata.
+    // otherwise leave no stale deltas or key sets behind for later strata.
     if (anyDelta) throw IterationLimitException("RecStep", idbs, conf.maxIterations)
-    idbs.foreach { p => rels(p).delta = emptyRel(rels(p).arity); rels(p).deltaRows = 0 }
+    val held = idbs.flatMap(rels(_).held)
+    idbs.foreach { p =>
+      val st = rels(p)
+      st.delta = emptyRel(st.arity)
+      st.deltaRows = 0
+      st.keySet.foreach(KeySets.release)
+      st.keySet = None
+    }
+    release(idbs, held)
+  }
+
+  /** Frees the materializations in `before`, and this iteration's
+    * [[superseded]] ones, that no relation of `idbs` holds any more. It runs
+    * only after every merge step of the iteration: an IDB's subqueries are
+    * planned at iteration start and may read a relation that an earlier
+    * merge step of the same iteration replaced.
+    */
+  private def release(idbs: Seq[String], before: Seq[DataFrame]): Unit = {
+    val now = idbs.flatMap(rels(_).held)
+    (before ++ superseded).distinct.filterNot(d => now.exists(_ eq d)).foreach(Materialize.release)
+    superseded.clear()
   }
 
   /** One delta-subquery per (recursive rule, same-stratum atom occurrence). */
@@ -227,44 +268,65 @@ private final class Evaluation(
     */
   private def uieval(subqueries: Seq[DataFrame]): DataFrame =
     if (conf.uie) subqueries.reduce(_ union _)
-    else subqueries.map(materialize).reduce(_ union _) // one job per subquery
+    else {
+      val parts = subqueries.map(materialize) // one job per subquery
+      superseded ++= parts
+      parts.reduce(_ union _)
+    }
 
   // ---------------------------------------------------------- merge steps
 
   /** Set merge step (Algorithm 1 lines 10–13): dedup, analyze, set
-    * difference, and ΔR appended to R as a new piece.
+    * difference, and ΔR appended to R as a new piece. With a key set, dedup
+    * and set difference are one insert pass into it.
     */
   private def setMerge(pred: String, st: RelState, rt: DataFrame): Unit = {
-    // dedup(R_t): partitions are sized from the previous R_δ (OOF's
-    // conservative approximation).
-    val rDelta = Dedup(rt, oof.fastDedup(pred, st.prevRdeltaRows, st.deltaRows),
-      edbMaxValue, oof.dedupPartitions(st.prevRdeltaRows))
-
-    // ΔR ← R_δ − R via DSD; analyze(R_δ, R): |R| is tracked incrementally,
-    // |R_δ| and |ΔR| are counted by the jobs that materialize them.
-    val (delta, deltaRows) =
-      if (oof.tpsdPossible(st.prevRdeltaRows)) {
-        // TPSD reads R_δ twice and DSD needs its exact size: materialize it.
-        val (rd, rdRows) = materializeCounted(rDelta)
-        st.prevRdeltaRows = rdRows
-        oof.fullAnalyze(rd)
-        materializeCounted(oof.repartitionDelta(setDifference(st, rd, rdRows), rdRows))
-      } else {
-        // OPSD: dedup and the anti-join are one plan and one job, which also
-        // counts R_δ. ΔR keeps the dedup's partitioning, which OOF sized from
-        // the previous |R_δ|; the exact count is known only after the job.
-        val rd = new Materialize.Counter(rDelta)
-        val out = materializeCounted(
-          if (st.rows == 0) rd.observed // R_δ − ∅ = R_δ
-          else SetDifference.opsd(rd.observed, st.full, st.rows, OofPolicy.BroadcastRows))
-        st.prevRdeltaRows = rd.rows
+    val (delta, deltaRows) = st.keySet match {
+      case Some(id) =>
+        // R_t is coalesced to OOF's partitions, sized from the previous
+        // |R_t|, which the job also counts: without the dedup's exchange,
+        // the partitions of the rule joins' output would add up.
+        val in = new Materialize.Counter(rt)
+        val out = materializeCounted(KeySets.insertFresh(in.observed, id, oof.insertPartitions(st.prevDedupRows)))
+        st.prevDedupRows = in.rows
         oof.fullAnalyze(out._1)
         out
-      }
+      case None => piecesMerge(pred, st, rt)
+    }
     st.delta = delta
     st.deltaRows = deltaRows
     if (deltaRows > 0) st.pieces :+= delta
     st.rows += deltaRows
+  }
+
+  /** dedup and DSD's set difference as separate operators; ΔR with its count. */
+  private def piecesMerge(pred: String, st: RelState, rt: DataFrame): (DataFrame, Long) = {
+    // dedup(R_t): partitions are sized from the previous R_δ (OOF's
+    // conservative approximation).
+    val rDelta = Dedup(rt, oof.fastDedup(pred, st.prevDedupRows, st.deltaRows),
+      edbMaxValue, oof.dedupPartitions(st.prevDedupRows))
+
+    // ΔR ← R_δ − R via DSD; analyze(R_δ, R): |R| is tracked incrementally,
+    // |R_δ| and |ΔR| are counted by the jobs that materialize them.
+    if (oof.tpsdPossible(st.prevDedupRows)) {
+      // TPSD reads R_δ twice and DSD needs its exact size: materialize it.
+      val (rd, rdRows) = materializeCounted(rDelta)
+      superseded += rd
+      st.prevDedupRows = rdRows
+      oof.fullAnalyze(rd)
+      materializeCounted(oof.repartitionDelta(setDifference(st, rd, rdRows), rdRows))
+    } else {
+      // OPSD: dedup and the anti-join are one plan and one job, which also
+      // counts R_δ. ΔR keeps the dedup's partitioning, which OOF sized from
+      // the previous |R_δ|; the exact count is known only after the job.
+      val rd = new Materialize.Counter(rDelta)
+      val out = materializeCounted(
+        if (st.rows == 0) rd.observed // R_δ − ∅ = R_δ
+        else SetDifference.opsd(rd.observed, st.full, st.rows, OofPolicy.BroadcastRows))
+      st.prevDedupRows = rd.rows
+      oof.fullAnalyze(out._1)
+      out
+    }
   }
 
   private def setDifference(st: RelState, rDelta: DataFrame, rDeltaRows: Long): DataFrame =
@@ -323,7 +385,8 @@ private final class Evaluation(
   * `shufflePartitions` is the partition budget (the paper's core count
   * analog), taken from the session's `spark.sql.shuffle.partitions`.
   */
-private final class OofPolicy(conf: RecStepConf, analysis: Analyzer.Analysis, shufflePartitions: Int) {
+private final class OofPolicy(
+    conf: RecStepConf, analysis: Analyzer.Analysis, shufflePartitions: Int, parallelism: Int, master: String) {
   import OofPolicy._
 
   private val adaptive = conf.oof != OofMode.NoAnalyze
@@ -350,6 +413,22 @@ private final class OofPolicy(conf: RecStepConf, analysis: Analyzer.Analysis, sh
     if (!conf.fastDedup || programHasArith) Set.empty
     else analysis.idbs.filterNot(nonMonotoneHead)
   }
+
+  private val keySetsAllowed = OofPolicy.keySetsAllowed(conf, master)
+
+  /** Does set IDB `pred` take the key-set merge step ([[KeySets]])? Decided
+    * once per IDB: its tuples must pack (CCK-eligible, and `arity` values
+    * bounded by `maxValue` fit the bit budget), and the configuration and
+    * master must allow it. DSD then has no choice to make for `pred`: its
+    * cost model prices a hash table built on R every iteration, and none is.
+    */
+  def keySets(pred: String, arity: Int, maxValue: Long): Boolean =
+    keySetsAllowed && cckPreds.contains(pred) && Dedup.canPack(arity, maxValue)
+
+  /** Partitions of the key-set insert pass: the dedup's, sized from the
+    * previous |R_t|, and at least the session's parallelism.
+    */
+  def insertPartitions(prevRtRows: Long): Int = math.max(dedupPartitions(prevRtRows), parallelism)
 
   /** Wrap a relation in a broadcast hint when its stats say it is small
     * enough to be the hash-build side. Under OOF-NA only EDBs (whose stats
@@ -422,6 +501,17 @@ private final class OofPolicy(conf: RecStepConf, analysis: Analyzer.Analysis, sh
 }
 
 private object OofPolicy {
+  /** May IDBs of this configuration take the key-set merge step on this
+    * master? Only with FAST-DEDUP, EOST and dynamic DSD on, so that Figure
+    * 2's arms that switch one of them off (or force OPSD or TPSD) still run
+    * their own operators. EOST off is also unsound for it: a reliable
+    * checkpoint computes its plan again in a second job, which would find
+    * every key inserted already. And only on a master that runs each task
+    * once in this JVM ([[KeySets.supports]]).
+    */
+  def keySetsAllowed(conf: RecStepConf, master: String): Boolean =
+    conf.fastDedup && conf.eost && conf.dsd == DsdMode.Dynamic && KeySets.supports(master)
+
   /** Build/probe cost ratio α for the DSD cost model (Appendix A);
     * calibrate offline with [[DsdCostModel.calibrate]].
     */

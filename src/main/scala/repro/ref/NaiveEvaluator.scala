@@ -116,9 +116,9 @@ object NaiveEvaluator {
             out(i) = op match {
               case AggOp.Min   => vals.min
               case AggOp.Max   => vals.max
-              case AggOp.Sum   => vals.sum
+              case AggOp.Sum   => vals.foldLeft(0L)(Math.addExact) // raises on overflow, like Expr.eval
               case AggOp.Count => vals.size.toLong
-              case AggOp.Avg   => vals.sum / vals.size // integer semantics
+              case AggOp.Avg   => vals.foldLeft(0L)(Math.addExact) / vals.size // integer semantics
             }
           case _ => ()
         }

@@ -97,6 +97,14 @@ class EngineDifferentialSpec extends SparkSpec {
       assert(runEngine(e, Programs.sssp, ssspEdb).apply("sssp") == ssspExpected, s"${e.name} diverged")
   }
 
+  /** Did `run` fail with an [[ArithmeticException]], possibly wrapped? */
+  private def overflows(run: => Any): Boolean =
+    try { run; false }
+    catch {
+      case t: Throwable =>
+        Iterator.iterate(t)(_.getCause).takeWhile(_ != null).exists(_.isInstanceOf[ArithmeticException])
+    }
+
   test("path weights summing past Long.MaxValue fail with an arithmetic overflow") {
     // RecStep's arithmetic runs in Spark SQL, which raises on overflow only
     // in ANSI mode.
@@ -105,12 +113,6 @@ class EngineDifferentialSpec extends SparkSpec {
     val edb = Map(
       "arc" -> Set(Vector(1L, 2L, 5L), Vector(2L, 3L, half), Vector(3L, 4L, half)),
       "id" -> Set(Vector(1L)))
-    def overflows(run: => Any): Boolean =
-      try { run; false }
-      catch {
-        case t: Throwable =>
-          Iterator.iterate(t)(_.getCause).takeWhile(_ != null).exists(_.isInstanceOf[ArithmeticException])
-      }
     // SSSP without the MIN, which Souffle-lite (no recursive aggregation) runs
     val pathSum = Parser.parse(
       """dist(y, d) :- id(x), arc(x, y, d).
@@ -122,5 +124,22 @@ class EngineDifferentialSpec extends SparkSpec {
     // SSSP itself, on the engines with recursive MIN
     assert(overflows(NaiveEvaluator.evaluate(Programs.sssp, edb)), "NaiveEvaluator (SSSP)")
     assert(overflows(runEngine(recstep, Programs.sssp, edb)), "RecStep (SSSP)")
+  }
+
+  test("a SUM past Long.MaxValue fails with an arithmetic overflow in every engine") {
+    val half = Long.MaxValue / 2 + 1
+    val total = Parser.parse("total(x, SUM(w)) :- arc(x, y, w).")
+    val fits = Map("arc" -> Set(Vector(1L, 2L, half), Vector(1L, 3L, half - 1)))
+    val past = Map("arc" -> Set(Vector(1L, 2L, half), Vector(1L, 3L, half)))
+    def inMemory(edb: Map[String, Set[Vector[Long]]]) = edb.map { case (p, ts) => p -> ts.toSeq.map(_.toArray) }
+    // right up to the bound, all three agree
+    val expected = Set(Vector(1L, Long.MaxValue))
+    assert(NaiveEvaluator.evaluate(total, fits)("total") == expected)
+    assert(souffle.evaluateInMemory(total, inMemory(fits))("total").map(_.toVector).toSet == expected)
+    assert(runEngine(recstep, total, fits).apply("total") == expected)
+    // one past it, none of them wraps
+    assert(overflows(NaiveEvaluator.evaluate(total, past)), "NaiveEvaluator")
+    assert(overflows(souffle.evaluateInMemory(total, inMemory(past))), "Souffle-lite")
+    assert(overflows(runEngine(recstep, total, past)), "RecStep")
   }
 }

@@ -1,7 +1,10 @@
 package repro.core
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.SparkSession
+import java.util.concurrent.{ConcurrentHashMap, TimeUnit}
+import java.util.concurrent.atomic.AtomicReference
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.LogicalRDD
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.TestUtil._
 import repro.datalog.Parser
@@ -308,8 +311,10 @@ class RecStepEngineSpec extends SparkSpec {
       val closure = (0 until groups).flatMap { g =>
         for (i <- 0 to 2; j <- i + 1 to 3) yield Vector(4L * g + i, 4L * g + j)
       }.toSet
+      // FAST-DEDUP off keeps both arms on the pieces path: the key-set
+      // merge step, which default flags take under Dynamic, has no DSD.
       val (out, plain, _) = countingJobs(
-        engine(relConf.copy(dsd = dsd)).evaluate(Programs.tc, Map("arc" -> edgesDF(spark, arcs))))
+        engine(relConf.copy(dsd = dsd, fastDedup = false)).evaluate(Programs.tc, Map("arc" -> edgesDF(spark, arcs))))
       assert(dfToSet(out("tc")) == closure, s"$dsd over $groups groups")
       plain
     }
@@ -317,5 +322,123 @@ class RecStepEngineSpec extends SparkSpec {
     val below = (OofPolicy.SmallDeltaRows / 4 - 1).toInt
     assert(nonBroadcastJobs(above, DsdMode.Dynamic) > nonBroadcastJobs(above, DsdMode.Opsd))
     assert(nonBroadcastJobs(below, DsdMode.Dynamic) == nonBroadcastJobs(below, DsdMode.Opsd))
+  }
+
+  test("a one-tuple Δ broadcasts at most once per iteration: the rule join's build side, never R") {
+    // CSDA over a chain, as above; the key-set merge step builds nothing on R.
+    val n = 20
+    val edb = edbToDF(spark, Map(
+      "arc" -> edgesToTuples(GraphData.chain(n).toSet),
+      "nullEdge" -> Set(Vector(1L, 2L))))
+    val (out, plain, broadcasts) = countingJobs(engine().evaluate(Programs.csda, edb))
+    assert(broadcasts <= n, s"$broadcasts broadcast jobs (and $plain others) for $n iterations")
+    assert(dfToSet(out("null")) == (2L to n.toLong).map(v => Vector(1L, v)).toSet)
+  }
+
+  test("key sets and delta pieces both match NaiveEvaluator on all eight programs") {
+    assert(OofPolicy.keySetsAllowed(relConf, spark.sparkContext.master), "the default flags take key sets here")
+    val weighted = GraphData.weighted(TestUtil.randomEdges(20, 50, seed = 4).toVector, maxW = 9, seed = 5)
+    val cspa = GraphData.cspaInput(nFuncs = 2, clusterSize = 5, seed = 4)
+    val csda = GraphData.csdaInput(segments = 3, segLen = 4, seed = 6)
+    val workloads = Seq(
+      Programs.tc -> Map("arc" -> edgesToTuples(edges1)),
+      Programs.sg -> Map("arc" -> edgesToTuples(TestUtil.randomEdges(15, 25, seed = 3))),
+      Programs.reach -> Map("arc" -> edgesToTuples(edges2), "id" -> Set(Vector(1L))),
+      Programs.cc -> Map("arc" -> edgesToTuples(edges2)),
+      Programs.sssp -> Map("arc" -> weighted.map(e => Vector(e._1, e._2, e._3)).toSet, "id" -> Set(Vector(1L))),
+      Programs.andersen -> GraphData.andersenInput(1).asMap.map { case (k, v) => k -> edgesToTuples(v.toSet) },
+      Programs.cspa -> Map("assign" -> edgesToTuples(cspa.assign.toSet),
+        "dereference" -> edgesToTuples(cspa.dereference.toSet)),
+      Programs.csda -> Map("nullEdge" -> edgesToTuples(csda.nullEdge.toSet), "arc" -> edgesToTuples(csda.arc.toSet)),
+    )
+    assert(workloads.map(_._1).toSet == Programs.byName.values.toSet)
+    for ((program, edb) <- workloads) {
+      val expected = reference(program, edb)
+      for ((path, conf) <- Seq("key sets" -> relConf, "pieces" -> relConf.copy(fastDedup = false))) {
+        val got = run(engine(conf), program, edb)
+        for ((p, want) <- expected) assert(got(p) == want, s"$p on the $path path")
+      }
+    }
+  }
+
+  test("Figure 2's arms that switch an operator off keep the pieces path") {
+    val master = spark.sparkContext.master
+    val keySets = Seq(
+      "all-on" -> relConf, "uie-off" -> relConf.copy(uie = false),
+      "oof-na" -> relConf.copy(oof = OofMode.NoAnalyze), "oof-fa" -> relConf.copy(oof = OofMode.FullAnalyze))
+    val pieces = Seq(
+      "opsd-only" -> relConf.copy(dsd = DsdMode.Opsd), "tpsd-only" -> relConf.copy(dsd = DsdMode.Tpsd),
+      "eost-off" -> relConf.copy(eost = false), "fast-dedup-off" -> relConf.copy(fastDedup = false),
+      "no-op" -> RecStepConf.noOp)
+    for ((arm, conf) <- keySets) assert(OofPolicy.keySetsAllowed(conf, master), arm)
+    for ((arm, conf) <- pieces) assert(!OofPolicy.keySetsAllowed(conf, master), arm)
+    // only a master that runs every task once, in this JVM
+    for (m <- Seq("local", "local[1]", "local[4]", "local[*]")) assert(OofPolicy.keySetsAllowed(relConf, m), m)
+    for (m <- Seq("local[4,2]", "local[*,3]", "local-cluster[2,1,1024]", "spark://host:7077", "yarn"))
+      assert(!OofPolicy.keySetsAllowed(relConf, m), m)
+  }
+
+  test("no key set outlives an evaluation: returned, failed at the iteration cap, or interrupted") {
+    assert(KeySets.openCount == 0)
+    val chain = Map("arc" -> edgesToTuples(GraphData.chain(10).toSet))
+    run(engine(), Programs.tc, chain)
+    assert(KeySets.openCount == 0, "after a normal return")
+    intercept[IterationLimitException](run(engine(relConf.copy(maxIterations = 2)), Programs.tc, chain))
+    assert(KeySets.openCount == 0, "after IterationLimitException")
+
+    // CSDA over a 400-vertex chain runs 400 iterations; interrupt it once its
+    // key set is open.
+    val sc = spark.sparkContext
+    val edb = edbToDF(spark, Map(
+      "arc" -> edgesToTuples(GraphData.chain(400).toSet),
+      "nullEdge" -> Set(Vector(1L, 2L))))
+    val failure = new AtomicReference[Throwable]
+    val evaluation = new Thread(() => {
+      sc.setJobGroup("interrupted-evaluation", "interrupted evaluation", interruptOnCancel = true)
+      try engine().evaluate(Programs.csda, edb)
+      catch { case t: Throwable => failure.set(t) }
+    })
+    evaluation.start()
+    val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(60)
+    while (KeySets.openCount == 0 && evaluation.isAlive && System.nanoTime() < deadline) Thread.sleep(5)
+    assert(KeySets.openCount == 1, "the evaluation opened its key set")
+    evaluation.interrupt()
+    evaluation.join(TimeUnit.SECONDS.toMillis(60))
+    sc.cancelJobGroup("interrupted-evaluation")
+    assert(!evaluation.isAlive, "the interrupted evaluation returned")
+    assert(failure.get != null, "the interrupted evaluation failed")
+    assert(KeySets.openCount == 0, s"after an interrupt (${failure.get})")
+  }
+
+  test("merge steps release the materializations they supersede") {
+    // Every RDD cached while the evaluation runs is kept reachable here, so
+    // that only the engine's own release, not the garbage collector, can
+    // drop one. Afterwards exactly the results' own pieces stay cached.
+    val sc = spark.sparkContext
+    val reachable = ConcurrentHashMap.newKeySet[AnyRef]()
+    val keep = new SparkListener {
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        sc.getPersistentRDDs.valuesIterator.foreach(reachable.add)
+    }
+    def pieces(df: DataFrame): Set[Int] = df.queryExecution.logical.collect { case r: LogicalRDD => r.rdd.id }.toSet
+    def check(arm: String, conf: RecStepConf, program: repro.datalog.Program,
+              edb: Map[String, Set[Vector[Long]]]): Unit = {
+      val before = sc.getPersistentRDDs.keySet
+      sc.addSparkListener(keep)
+      val out = try engine(conf).evaluate(program, edbToDF(spark, edb)) finally sc.removeSparkListener(keep)
+      val cached = sc.getPersistentRDDs.keySet -- before
+      val read = out.values.flatMap(pieces).toSet
+      assert(cached == read, s"$arm: ${cached.size} RDDs cached, the results read ${read.size}")
+      for ((p, want) <- reference(program, edb)) assert(dfToSet(out(p)) == want, s"$arm: $p")
+      reachable.clear()
+    }
+    // 59 iterations of one fact each: R's pieces are compacted twice
+    val chain = edgesToTuples(GraphData.chain(60).toSet)
+    val csda = Map("arc" -> chain, "nullEdge" -> Set(Vector(1L, 2L)))
+    check("key sets", relConf, Programs.csda, csda)
+    check("UIE off", relConf.copy(uie = false), Programs.csda, csda)
+    check("TPSD", relConf.copy(dsd = DsdMode.Tpsd), Programs.csda, csda)
+    // the MIN merge step replaces R in each of 59 iterations
+    check("MIN merge", relConf, Programs.cc, Map("arc" -> chain))
   }
 }
