@@ -36,9 +36,11 @@ object Harness {
   }
 
   /** One timed evaluation: evaluate + count every IDB (materialization is
-    * part of the measured time, as in the paper's end-to-end numbers).
+    * part of the measured time, as in the paper's end-to-end numbers). The
+    * EDB is built before the clock starts.
     */
   def timedRun(engine: DatalogEngine, w: Workload)(implicit spark: SparkSession): Status = {
+    val edb = w.edb(spark)
     val os = java.lang.management.ManagementFactory.getOperatingSystemMXBean
       .asInstanceOf[com.sun.management.OperatingSystemMXBean]
     @volatile var peakHeap = 0L
@@ -55,7 +57,7 @@ object Harness {
     val cpu0 = os.getProcessCpuTime
     val t0 = System.nanoTime()
     try {
-      val out = engine.evaluate(w.program, w.edb(spark))
+      val out = engine.evaluate(w.program, edb)
       val size = out(w.primaryIdb).count()
       out.foreach { case (p, df) => if (p != w.primaryIdb) df.count() }
       val wall = (System.nanoTime() - t0) / 1e9
@@ -64,27 +66,21 @@ object Harness {
     } finally { sampling = false; sampler.interrupt() }
   }
 
-  /** Run with warm-up discarding and a wall-clock timeout; Spark jobs are
-    * cancelled via job groups on timeout.
+  /** One measured run, without warm-up, under a wall-clock timeout; Spark
+    * jobs are cancelled via job groups on timeout.
     */
-  def run(
-      engine: DatalogEngine,
-      w: Workload,
-      timeoutSec: Int = 240,
-      measuredRuns: Int = 1,
-      warmups: Int = 0,
-  )(implicit spark: SparkSession): Result = {
+  def run(engine: DatalogEngine, w: Workload, timeoutSec: Int = 240)(implicit spark: SparkSession): Result = {
     val group = s"bench-${engine.name}-${w.name}"
     val pool = Executors.newSingleThreadExecutor(r => {
       val t = new Thread(r, group); t.setDaemon(true); t
     })
     try {
-      def once(): Status = {
-        val task: java.util.concurrent.Callable[Status] = () => {
-          spark.sparkContext.setJobGroup(group, group, interruptOnCancel = true)
-          try timedRun(engine, w) finally spark.sparkContext.clearJobGroup()
-        }
-        val fut = pool.submit(task)
+      val task: java.util.concurrent.Callable[Status] = () => {
+        spark.sparkContext.setJobGroup(group, group, interruptOnCancel = true)
+        try timedRun(engine, w) finally spark.sparkContext.clearJobGroup()
+      }
+      val fut = pool.submit(task)
+      val status =
         try fut.get(timeoutSec.toLong, TimeUnit.SECONDS)
         catch {
           case _: TimeoutException =>
@@ -98,24 +94,6 @@ object Harness {
               case other                          => Crashed(s"${other.getClass.getSimpleName}: ${other.getMessage}")
             }
         }
-      }
-      var status: Status = Ok(0, 0)
-      var i = 0
-      var aborted = false
-      while (i < warmups && !aborted) {
-        status = once()
-        if (!status.isInstanceOf[Ok]) aborted = true
-        i += 1
-      }
-      if (!aborted) {
-        val runs = (0 until math.max(1, measuredRuns)).map(_ => once())
-        val oks = runs.collect { case ok: Ok => ok }
-        status =
-          if (oks.size == runs.size)
-            Ok(oks.map(_.seconds).sum / oks.size, oks.head.resultSize,
-               oks.map(_.cpuSeconds).sum / oks.size, oks.map(_.peakHeapMb).max)
-          else runs.find(!_.isInstanceOf[Ok]).get
-      }
       Result(engine.name, w.name, status)
     } finally pool.shutdownNow()
   }

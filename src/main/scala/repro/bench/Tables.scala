@@ -193,9 +193,7 @@ object Tables {
       val cells = mkEngines.map { case (name, mk) =>
         val st: Option[Status] =
           if (!table4Mask.getOrElse(key, Set.empty).contains(name)) None
-          else Some(Harness.run(mk(), w,
-            timeoutSec = if (quick) 90 else 420,
-            measuredRuns = 1, warmups = 0).status)
+          else Some(Harness.run(mk(), w, timeoutSec = if (quick) 90 else 420).status)
         name -> st
       }
       sb.append(f"${w.name}%-22s${"measured"}%-10s")
@@ -247,8 +245,7 @@ object Tables {
       ("RecStep-NO-OP", RecStepConf.noOp, "100%"),
     )
     val results = configs.map { case (name, conf, paper) =>
-      val r = Harness.run(new RecStepEngine(conf), w,
-        timeoutSec = if (quick) 120 else 600, warmups = 0)
+      val r = Harness.run(new RecStepEngine(conf), w, timeoutSec = if (quick) 120 else 600)
       (name, r.status, paper)
     }
     val noOpTime = results.collectFirst { case ("RecStep-NO-OP", Ok(s, _, _, _), _) => s }

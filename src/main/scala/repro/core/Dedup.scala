@@ -2,16 +2,15 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import repro.util.LongHashSet
 
-/** Deduplication (Algorithm 1 line 10). Two implementations:
+/** Deduplication (Algorithm 1 line 10): the compact concatenated keys of
+  * FAST-DEDUP (§5.2), and generic dedup.
   *
-  *  - FAST-DEDUP (§5.2): tuples of small all-integer arity are packed into a
-  *    single 64-bit Compact Concatenated Key; the rows are hash-partitioned
-  *    on the CK (the "global" table — each partition owns a disjoint key
-  *    range) and deduplicated per partition with a specialized
-  *    open-addressing [[LongHashSet]] whose stored key *is* the tuple.
-  *  - generic: Spark's `dropDuplicates` over all columns.
+  * FAST-DEDUP packs a tuple of small all-integer arity into one 64-bit
+  * Compact Concatenated Key and inserts it into §5.2's global hash table, a
+  * [[repro.util.ConcurrentLongSet]] ([[KeySets.insertFresh]]); the stored
+  * key *is* the tuple. Generic dedup is Spark's `dropDuplicates` over all
+  * columns.
   *
   * CCK packing requires every attribute to fit its bit budget:
   * arity 1 -> 63 bits, arity 2 -> 31 bits each, arity 3 -> 21 bits each.
@@ -54,32 +53,10 @@ object Dedup {
     }
   }
 
-  /** FAST-DEDUP over an all-Long DataFrame with columns c0..c{n-1}.
-    * `numPartitions` is the pre-allocation knob driven by OOF stats.
+  /** Generic dedup (FAST-DEDUP off, unpackable tuples, or a master without
+    * a key set).
     */
-  def fast(df: DataFrame, numPartitions: Int): DataFrame = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    val arity = df.columns.length
-    val packed = df.select(packExpr(arity).as("ck")).as[Long]
-    val deduped = packed
-      .repartition(math.max(1, numPartitions), col("ck"))
-      .mapPartitions { it =>
-        val set = new LongHashSet()
-        it.filter(set.add)
-      }
-    deduped.toDF("ck").select(unpackExprs(arity, col("ck")): _*)
-  }
-
-  /** Generic dedup (FAST-DEDUP off, or unpackable tuples). */
   def generic(df: DataFrame, numPartitions: Int): DataFrame =
     df.repartition(math.max(1, numPartitions), df.columns.map(col): _*)
       .dropDuplicates(df.columns.toIndexedSeq)
-
-  /** Dispatch per configuration and packability. */
-  def apply(df: DataFrame, fastEnabled: Boolean, maxValue: Long, numPartitions: Int): DataFrame = {
-    val arity = df.columns.length
-    if (fastEnabled && canPack(arity, maxValue)) fast(df, numPartitions)
-    else generic(df, numPartitions)
-  }
 }

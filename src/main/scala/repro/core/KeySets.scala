@@ -6,12 +6,13 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import repro.util.ConcurrentLongSet
 
-/** R's packed keys kept across iterations: one [[ConcurrentLongSet]] per set
-  * IDB whose tuples CCK can pack (§5.2's global hash table, kept for the
-  * whole of the IDB's stratum). The key-set merge step inserts R_t's keys
-  * and keeps the rows whose key was new (Soufflé's insert-returns-new), so
-  * dedup and R_δ − R become one narrow pass: no exchange, and no hash table
-  * built on R.
+/** FAST-DEDUP's tables (§5.2's global hash table over compact keys): one
+  * [[ConcurrentLongSet]] per set IDB whose tuples CCK can pack. The merge
+  * step inserts R_t's keys and keeps the rows whose key was new (Soufflé's
+  * insert-returns-new): one narrow pass, with no exchange. A set kept for
+  * the whole of the IDB's stratum holds R's keys, so the same pass is also
+  * R_δ − R, and no hash table is built on R; a set opened for one iteration
+  * dedups only, and DSD's own operator then takes R_δ − R.
   *
   * The sets live in the JVM that runs the tasks. Spark serializes task
   * closures even in local mode, so a task cannot carry a set; it looks it up

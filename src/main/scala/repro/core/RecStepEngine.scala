@@ -65,10 +65,11 @@ private final class Evaluation(
 
   /** State of one relation: checkpointed delta pieces whose union is the
     * full relation, the exact row count (maintained incrementally — ΔR is
-    * disjoint from R by construction), the id of R's key set in [[KeySets]]
-    * while its stratum runs the key-set merge step, and OOF bookkeeping
-    * (the previous dedup's size as the next one's estimate: |R_δ| on the
-    * pieces path, |R_t| on the key-set path; previous μ for the DSD model).
+    * disjoint from R by construction), the id of the key set that holds
+    * R's keys while its stratum runs, and OOF bookkeeping (the previous
+    * dedup's size as the next one's estimate: |R_t| where dedup inserts
+    * into a key set, |R_δ| under generic dedup; previous μ for the DSD
+    * model).
     */
   private final class RelState(val arity: Int) {
     var pieces: Vector[DataFrame] = Vector.empty
@@ -201,7 +202,7 @@ private final class Evaluation(
         s"stratum mixes aggregated and plain IDBs: ${s.preds.mkString(", ")}")
     val idbs = s.preds.toSeq.sorted
     if (s.recursiveAggs.isEmpty)
-      for (p <- idbs if oof.keySets(p, rels(p).arity, edbMaxValue)) rels(p).keySet = Some(KeySets.open())
+      for (p <- idbs if oof.keepsKeys(p, rels(p).arity, edbMaxValue)) rels(p).keySet = Some(KeySets.open())
     var iteration = 0
     var anyDelta = true
     while (anyDelta && iteration < conf.maxIterations) {
@@ -277,57 +278,61 @@ private final class Evaluation(
   // ---------------------------------------------------------- merge steps
 
   /** Set merge step (Algorithm 1 lines 10–13): dedup, analyze, set
-    * difference, and ΔR appended to R as a new piece. With a key set, dedup
-    * and set difference are one insert pass into it.
+    * difference, and ΔR appended to R as a new piece. FAST-DEDUP inserts
+    * R_t's packed keys into a key set: R's own, kept for the stratum, which
+    * makes the insert R_δ − R as well; or, under forced OPSD or TPSD, one
+    * that holds this iteration's keys only, after which DSD's own operator
+    * takes R_δ − R. Other tuples take generic dedup and DSD.
     */
   private def setMerge(pred: String, st: RelState, rt: DataFrame): Unit = {
-    val (delta, deltaRows) = st.keySet match {
+    val iterationSet =
+      if (st.keySet.isEmpty && oof.keySets(pred, st.arity, edbMaxValue)) Some(KeySets.open()) else None
+    val (delta, deltaRows) = try (st.keySet orElse iterationSet) match {
       case Some(id) =>
         // R_t is coalesced to OOF's partitions, sized from the previous
         // |R_t|, which the job also counts: without the dedup's exchange,
         // the partitions of the rule joins' output would add up.
         val in = new Materialize.Counter(rt)
-        val out = materializeCounted(KeySets.insertFresh(in.observed, id, oof.insertPartitions(st.prevDedupRows)))
+        val rDelta = KeySets.insertFresh(in.observed, id, oof.insertPartitions(st.prevDedupRows))
+        val out = if (iterationSet.isEmpty) analyzed(materializeCounted(rDelta)) else dsd(st, rDelta)._1
         st.prevDedupRows = in.rows
-        oof.fullAnalyze(out._1)
         out
-      case None => piecesMerge(pred, st, rt)
-    }
+      case None =>
+        // dedup(R_t): partitions are sized from the previous R_δ (OOF's
+        // conservative approximation).
+        val (out, rDeltaRows) = dsd(st, Dedup.generic(rt, oof.dedupPartitions(st.prevDedupRows)))
+        st.prevDedupRows = rDeltaRows
+        out
+    } finally iterationSet.foreach(KeySets.release)
     st.delta = delta
     st.deltaRows = deltaRows
     if (deltaRows > 0) st.pieces :+= delta
     st.rows += deltaRows
   }
 
-  /** dedup and DSD's set difference as separate operators; ΔR with its count. */
-  private def piecesMerge(pred: String, st: RelState, rt: DataFrame): (DataFrame, Long) = {
-    // dedup(R_t): partitions are sized from the previous R_δ (OOF's
-    // conservative approximation).
-    val rDelta = Dedup(rt, oof.fastDedup(pred, st.prevDedupRows, st.deltaRows),
-      edbMaxValue, oof.dedupPartitions(st.prevDedupRows))
+  /** OOF-FA's full analyze of a materialization, which it passes through. */
+  private def analyzed(m: (DataFrame, Long)): (DataFrame, Long) = { oof.fullAnalyze(m._1); m }
 
-    // ΔR ← R_δ − R via DSD; analyze(R_δ, R): |R| is tracked incrementally,
-    // |R_δ| and |ΔR| are counted by the jobs that materialize them.
+  /** DSD (Algorithm 1 lines 11–12): ΔR ← R_δ − R, materialized with its
+    * count, and |R_δ|. analyze(R_δ, R): |R| is tracked incrementally, |R_δ|
+    * and |ΔR| are counted by the jobs that materialize them.
+    */
+  private def dsd(st: RelState, rDelta: DataFrame): ((DataFrame, Long), Long) =
     if (oof.tpsdPossible(st.prevDedupRows)) {
       // TPSD reads R_δ twice and DSD needs its exact size: materialize it.
-      val (rd, rdRows) = materializeCounted(rDelta)
+      val (rd, rdRows) = analyzed(materializeCounted(rDelta))
       superseded += rd
-      st.prevDedupRows = rdRows
-      oof.fullAnalyze(rd)
-      materializeCounted(oof.repartitionDelta(setDifference(st, rd, rdRows), rdRows))
+      (materializeCounted(oof.repartitionDelta(setDifference(st, rd, rdRows), rdRows)), rdRows)
     } else {
       // OPSD: dedup and the anti-join are one plan and one job, which also
       // counts R_δ. ΔR keeps the dedup's partitioning, which OOF sized from
-      // the previous |R_δ|; the exact count is known only after the job.
+      // the previous dedup; the exact count is known only after the job.
       val rd = new Materialize.Counter(rDelta)
-      val out = materializeCounted(
+      val out = analyzed(materializeCounted(
         if (st.rows == 0) rd.observed // R_δ − ∅ = R_δ
-        else SetDifference.opsd(rd.observed, st.full, st.rows, OofPolicy.BroadcastRows))
-      st.prevDedupRows = rd.rows
-      oof.fullAnalyze(out._1)
-      out
+        else SetDifference.opsd(rd.observed, st.full, st.rows, OofPolicy.BroadcastRows)))
+      (out, rd.rows)
     }
-  }
 
   private def setDifference(st: RelState, rDelta: DataFrame, rDeltaRows: Long): DataFrame =
     if (st.rows == 0 || rDeltaRows == 0) rDelta // R_δ − ∅ = R_δ; ∅ − R = ∅
@@ -416,14 +421,22 @@ private final class OofPolicy(
 
   private val keySetsAllowed = OofPolicy.keySetsAllowed(conf, master)
 
-  /** Does set IDB `pred` take the key-set merge step ([[KeySets]])? Decided
-    * once per IDB: its tuples must pack (CCK-eligible, and `arity` values
-    * bounded by `maxValue` fit the bit budget), and the configuration and
-    * master must allow it. DSD then has no choice to make for `pred`: its
-    * cost model prices a hash table built on R every iteration, and none is.
+  /** Does set IDB `pred` dedup by inserting into a key set ([[KeySets]])?
+    * Its tuples must pack (CCK-eligible, and `arity` values bounded by
+    * `maxValue` fit the bit budget), and the configuration and master must
+    * allow it.
     */
   def keySets(pred: String, arity: Int, maxValue: Long): Boolean =
     keySetsAllowed && cckPreds.contains(pred) && Dedup.canPack(arity, maxValue)
+
+  /** Does `pred`'s key set hold R's keys for its whole stratum, which makes
+    * the insert R_δ − R as well? Under dynamic DSD, which then has no choice
+    * to make: its cost model prices a hash table built on R every iteration,
+    * and none is. Forced OPSD or TPSD (Figure 2's DSD arms) run their own
+    * operator on R_δ, and the set holds one iteration's keys.
+    */
+  def keepsKeys(pred: String, arity: Int, maxValue: Long): Boolean =
+    conf.dsd == DsdMode.Dynamic && keySets(pred, arity, maxValue)
 
   /** Partitions of the key-set insert pass: the dedup's, sized from the
     * previous |R_t|, and at least the session's parallelism.
@@ -440,13 +453,6 @@ private final class OofPolicy(
   /** Dedup partitions sized from the previous R_δ; fixed under OOF-NA. */
   def dedupPartitions(prevRdeltaRows: Long): Int =
     if (adaptive) partsFor(math.max(prevRdeltaRows, 1024L)) else shufflePartitions
-
-  /** Small expected dedups cannot amortize the CCK path's extra exchange —
-    * use the plain aggregate below the threshold. Without stats (OOF-NA) the
-    * size is unknown, so eligible IDBs always take the CCK path.
-    */
-  def fastDedup(pred: String, prevRdeltaRows: Long, deltaRows: Long): Boolean =
-    cckPreds.contains(pred) && (!adaptive || math.max(prevRdeltaRows, deltaRows) >= SmallDeltaRows)
 
   /** OOF-FA: recollect *all* stats on every updated table — the overhead arm
     * of Figure 2 (the results are computed and discarded).
@@ -501,16 +507,13 @@ private final class OofPolicy(
 }
 
 private object OofPolicy {
-  /** May IDBs of this configuration take the key-set merge step on this
-    * master? Only with FAST-DEDUP, EOST and dynamic DSD on, so that Figure
-    * 2's arms that switch one of them off (or force OPSD or TPSD) still run
-    * their own operators. EOST off is also unsound for it: a reliable
-    * checkpoint computes its plan again in a second job, which would find
-    * every key inserted already. And only on a master that runs each task
-    * once in this JVM ([[KeySets.supports]]).
+  /** May FAST-DEDUP insert into key sets under this configuration, on this
+    * master? Only on a master that runs each task once, in this JVM
+    * ([[KeySets.supports]]): §5.2's table lives in one address space. Other
+    * masters take generic dedup.
     */
   def keySetsAllowed(conf: RecStepConf, master: String): Boolean =
-    conf.fastDedup && conf.eost && conf.dsd == DsdMode.Dynamic && KeySets.supports(master)
+    conf.fastDedup && KeySets.supports(master)
 
   /** Build/probe cost ratio α for the DSD cost model (Appendix A);
     * calibrate offline with [[DsdCostModel.calibrate]].
@@ -518,10 +521,9 @@ private object OofPolicy {
   val Alpha: Double = 2.0
   /** Rows below which a relation side is broadcast (hash-build side). */
   val BroadcastRows: Long = 1_500_000L
-  /** Below this R_δ size the specialized machinery (TPSD + its μ-refresh
-    * analyze, CCK hash-table dedup) cannot pay for its own per-query
-    * overhead (appendix C's caveat on OOF's extra queries), so the engine
-    * falls back to the one-shot operators.
+  /** Below this R_δ size TPSD and its μ-refresh analyze cannot pay for
+    * their own per-query overhead (appendix C's caveat on OOF's extra
+    * queries), so dynamic DSD keeps the one-shot OPSD.
     */
   val SmallDeltaRows: Long = 65_536L
   /** Compact the growing union-of-deltas plan every this many iterations. */

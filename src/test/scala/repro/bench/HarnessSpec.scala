@@ -26,10 +26,12 @@ class HarnessSpec extends SparkSpec {
     }
   }
 
-  test("run with warmups averages the measured runs") {
-    val r = Harness.run(new SouffleLite(), tinyTc, timeoutSec = 60, measuredRuns = 2, warmups = 1)
-    assert(r.seconds.exists(_ > 0))
-    assert(r.engine == "Souffle-lite")
+  test("timedRun builds the EDB before the clock starts") {
+    val slowEdb = tinyTc.copy(edb = spark => { Thread.sleep(1000); tinyTc.edb(spark) })
+    Harness.timedRun(new SouffleLite(), slowEdb) match {
+      case ok: Ok => assert(ok.seconds < 1.0, s"${ok.seconds} s include the EDB's 1 s build")
+      case other  => fail(s"unexpected status $other")
+    }
   }
 
   test("unsupported programs are classified, not crashed") {

@@ -1,17 +1,19 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.SparkSpec
-import repro.TestUtil.checkProp
+import repro.TestUtil.{checkProp, edgesToTuples, reference, runEngine}
 import repro.graphs.GraphData
+import repro.programs.Programs
 
 class DedupSpec extends SparkSpec {
 
   private def dfOf(tuples: Seq[Vector[Long]], arity: Int) =
     GraphData.tuplesToDF(spark, tuples, arity)
 
-  private def collect(df: org.apache.spark.sql.DataFrame): Set[Vector[Long]] =
+  private def collect(df: DataFrame): Set[Vector[Long]] =
     df.collect().map(r => Vector.tabulate(r.size)(i => r.getLong(i))).toSet
 
   test("canPack boundaries per arity") {
@@ -54,10 +56,19 @@ class DedupSpec extends SparkSpec {
       .select(Dedup.unpackExprs(3, col("ck")): _*)) == Set(t3))
   }
 
+  /** FAST-DEDUP: one insert pass into a freshly opened key set, released
+    * afterwards. The rows come back as a Seq, so a duplicate would show.
+    */
+  private def fastDedup(df: DataFrame, numPartitions: Int): Seq[Vector[Long]] = {
+    val id = KeySets.open()
+    try KeySets.insertFresh(df, id, numPartitions).collect().toSeq.map(r => Vector.tabulate(r.size)(r.getLong))
+    finally KeySets.release(id)
+  }
+
   test("fast dedup removes duplicates") {
     val base = Seq(Vector(1L, 2L), Vector(2L, 3L), Vector(1L, 2L), Vector(1L, 2L))
-    val out = Dedup.fast(dfOf(base, 2), numPartitions = 4)
-    assert(collect(out) == Set(Vector(1L, 2L), Vector(2L, 3L)))
+    val out = fastDedup(dfOf(base, 2), numPartitions = 4)
+    assert(out.size == 2 && out.toSet == Set(Vector(1L, 2L), Vector(2L, 3L)))
   }
 
   test("generic dedup removes duplicates") {
@@ -69,32 +80,39 @@ class DedupSpec extends SparkSpec {
   test("fast and generic dedup agree on random input") {
     val rnd = new scala.util.Random(5)
     val tuples = Seq.fill(5000)(Vector(rnd.nextInt(50).toLong, rnd.nextInt(50).toLong))
-    val df = dfOf(tuples, 2)
-    assert(collect(Dedup.fast(df, 8)) == collect(Dedup.generic(df, 8)))
-  }
-
-  test("dispatch uses generic path when values are too large to pack") {
-    val big = Seq(Vector(1L << 40, 2L), Vector(1L << 40, 2L))
-    val out = Dedup(dfOf(big, 2), fastEnabled = true, maxValue = 1L << 40, numPartitions = 2)
-    assert(collect(out) == Set(Vector(1L << 40, 2L)))
-  }
-
-  test("dispatch honors fastEnabled = false") {
-    val out = Dedup(dfOf(Seq(Vector(1L, 1L), Vector(1L, 1L)), 2),
-      fastEnabled = false, maxValue = 10L, numPartitions = 2)
-    assert(collect(out) == Set(Vector(1L, 1L)))
+    val df = dfOf(tuples, 2).repartition(8)
+    val fast = fastDedup(df, 8)
+    assert(fast.size == fast.toSet.size)
+    assert(fast.toSet == collect(Dedup.generic(df, 8)))
   }
 
   test("fast dedup with zero values (empty-sentinel interaction)") {
     val base = Seq(Vector(0L, 0L), Vector(0L, 0L), Vector(0L, 1L))
-    val out = Dedup.fast(dfOf(base, 2), 2)
-    assert(collect(out) == Set(Vector(0L, 0L), Vector(0L, 1L)))
+    val out = fastDedup(dfOf(base, 2), 2)
+    assert(out.size == 2 && out.toSet == Set(Vector(0L, 0L), Vector(0L, 1L)))
   }
 
   test("fast dedup preserves 5k distinct keys across partitions") {
     val tuples = (1 to 5000).map(i => Vector(i.toLong, (i % 97).toLong))
     val withDups = tuples ++ tuples
-    val out = Dedup.fast(dfOf(withDups, 2), 16)
-    assert(out.count() == 5000)
+    // 16 input partitions: with local[N], N tasks insert at once
+    val out = fastDedup(dfOf(withDups, 2).repartition(16), 16)
+    assert(out.size == 5000)
+    assert(out.toSet == tuples.toSet)
+  }
+
+  test("dispatch uses generic path when values are too large to pack") {
+    // Ids at or above 2^31 fall back to generic dedup, with FAST-DEDUP on or
+    // off, and match NaiveEvaluator. Arity 2 packs 31 bits per value: packed
+    // anyway, (0, b) and (1, b) would share a key, since b's bit 31 overlaps
+    // the first value's bit 0.
+    val b = (1L << 31) + 5
+    val edb = Map("arc" -> edgesToTuples(Set((0L, b), (1L, b), (b, 2L), (2L, 1L))))
+    val expected = reference(Programs.tc, edb)("tc")
+    for ((arm, conf) <- Seq("default" -> RecStepConf(), "opsd-only" -> RecStepConf(dsd = DsdMode.Opsd),
+                            "fast-dedup-off" -> RecStepConf(fastDedup = false))) {
+      assert(runEngine(new RecStepEngine(conf), Programs.tc, edb)(spark)("tc") == expected, arm)
+      assert(KeySets.openCount == 0, arm)
+    }
   }
 }

@@ -297,6 +297,21 @@ class RecStepEngineSpec extends SparkSpec {
     assert(dfToSet(out("null")) == (2L to n.toLong).map(v => Vector(1L, v)).toSet)
   }
 
+  test("forced OPSD dedups a one-tuple Δ without an exchange") {
+    // CSDA over a chain, as above, with OPSD forced: each iteration's dedup
+    // inserts into a key set opened for that iteration, so its set merge
+    // step is one job with no shuffle stage; generic dedup's exchange would
+    // add a second job per iteration.
+    val n = 20
+    val edb = edbToDF(spark, Map(
+      "arc" -> edgesToTuples(GraphData.chain(n).toSet),
+      "nullEdge" -> Set(Vector(1L, 2L))))
+    val (out, plain, broadcasts) = countingJobs(engine(relConf.copy(dsd = DsdMode.Opsd)).evaluate(Programs.csda, edb))
+    info(s"$plain non-broadcast and $broadcasts broadcast jobs for $n iterations")
+    assert(plain <= n + 8, s"$plain non-broadcast jobs (and $broadcasts broadcasts) for $n iterations")
+    assert(dfToSet(out("null")) == (2L to n.toLong).map(v => Vector(1L, v)).toSet)
+  }
+
   test("dynamic DSD materializes R_δ on its own once the previous R_δ reaches SmallDeltaRows") {
     // TC over groups a→b→c→d plus a→c. Iteration 1's R_δ is all 4·groups
     // arcs; iteration 2 derives tc(a,c) again, which the set difference must
@@ -311,8 +326,8 @@ class RecStepEngineSpec extends SparkSpec {
       val closure = (0 until groups).flatMap { g =>
         for (i <- 0 to 2; j <- i + 1 to 3) yield Vector(4L * g + i, 4L * g + j)
       }.toSet
-      // FAST-DEDUP off keeps both arms on the pieces path: the key-set
-      // merge step, which default flags take under Dynamic, has no DSD.
+      // FAST-DEDUP off keeps both arms on generic dedup: under Dynamic,
+      // default flags keep R's keys in a key set, which leaves DSD no choice.
       val (out, plain, _) = countingJobs(
         engine(relConf.copy(dsd = dsd, fastDedup = false)).evaluate(Programs.tc, Map("arc" -> edgesDF(spark, arcs))))
       assert(dfToSet(out("tc")) == closure, s"$dsd over $groups groups")
@@ -335,6 +350,14 @@ class RecStepEngineSpec extends SparkSpec {
     assert(dfToSet(out("null")) == (2L to n.toLong).map(v => Vector(1L, v)).toSet)
   }
 
+  /** Figure 2's arms: all on, and each optimization off in turn. */
+  private val figure2Arms = Seq(
+    "all-on" -> relConf, "uie-off" -> relConf.copy(uie = false),
+    "oof-na" -> relConf.copy(oof = OofMode.NoAnalyze), "oof-fa" -> relConf.copy(oof = OofMode.FullAnalyze),
+    "opsd-only" -> relConf.copy(dsd = DsdMode.Opsd), "tpsd-only" -> relConf.copy(dsd = DsdMode.Tpsd),
+    "eost-off" -> relConf.copy(eost = false), "fast-dedup-off" -> relConf.copy(fastDedup = false),
+    "no-op" -> RecStepConf.noOp)
+
   test("key sets and delta pieces both match NaiveEvaluator on all eight programs") {
     assert(OofPolicy.keySetsAllowed(relConf, spark.sparkContext.master), "the default flags take key sets here")
     val weighted = GraphData.weighted(TestUtil.randomEdges(20, 50, seed = 4).toVector, maxW = 9, seed = 5)
@@ -354,24 +377,20 @@ class RecStepEngineSpec extends SparkSpec {
     assert(workloads.map(_._1).toSet == Programs.byName.values.toSet)
     for ((program, edb) <- workloads) {
       val expected = reference(program, edb)
-      for ((path, conf) <- Seq("key sets" -> relConf, "pieces" -> relConf.copy(fastDedup = false))) {
+      for ((arm, conf) <- figure2Arms) {
         val got = run(engine(conf), program, edb)
-        for ((p, want) <- expected) assert(got(p) == want, s"$p on the $path path")
+        for ((p, want) <- expected) assert(got(p) == want, s"$p under $arm")
+        assert(KeySets.openCount == 0, s"${expected.keys.mkString(", ")} under $arm")
       }
     }
   }
 
-  test("Figure 2's arms that switch an operator off keep the pieces path") {
+  test("Figure 2's arms dedup into key sets unless FAST-DEDUP is off") {
     val master = spark.sparkContext.master
-    val keySets = Seq(
-      "all-on" -> relConf, "uie-off" -> relConf.copy(uie = false),
-      "oof-na" -> relConf.copy(oof = OofMode.NoAnalyze), "oof-fa" -> relConf.copy(oof = OofMode.FullAnalyze))
-    val pieces = Seq(
-      "opsd-only" -> relConf.copy(dsd = DsdMode.Opsd), "tpsd-only" -> relConf.copy(dsd = DsdMode.Tpsd),
-      "eost-off" -> relConf.copy(eost = false), "fast-dedup-off" -> relConf.copy(fastDedup = false),
-      "no-op" -> RecStepConf.noOp)
+    val (generic, keySets) = figure2Arms.partition { case (_, conf) => !conf.fastDedup }
+    assert(generic.map(_._1) == Seq("fast-dedup-off", "no-op"))
     for ((arm, conf) <- keySets) assert(OofPolicy.keySetsAllowed(conf, master), arm)
-    for ((arm, conf) <- pieces) assert(!OofPolicy.keySetsAllowed(conf, master), arm)
+    for ((arm, conf) <- generic) assert(!OofPolicy.keySetsAllowed(conf, master), arm)
     // only a master that runs every task once, in this JVM
     for (m <- Seq("local", "local[1]", "local[4]", "local[*]")) assert(OofPolicy.keySetsAllowed(relConf, m), m)
     for (m <- Seq("local[4,2]", "local[*,3]", "local-cluster[2,1,1024]", "spark://host:7077", "yarn"))
@@ -385,6 +404,12 @@ class RecStepEngineSpec extends SparkSpec {
     assert(KeySets.openCount == 0, "after a normal return")
     intercept[IterationLimitException](run(engine(relConf.copy(maxIterations = 2)), Programs.tc, chain))
     assert(KeySets.openCount == 0, "after IterationLimitException")
+    // forced OPSD opens a key set for each iteration's dedup
+    val opsd = relConf.copy(dsd = DsdMode.Opsd)
+    run(engine(opsd), Programs.tc, chain)
+    assert(KeySets.openCount == 0, "after a normal return under forced OPSD")
+    intercept[IterationLimitException](run(engine(opsd.copy(maxIterations = 2)), Programs.tc, chain))
+    assert(KeySets.openCount == 0, "after IterationLimitException under forced OPSD")
 
     // CSDA over a 400-vertex chain runs 400 iterations; interrupt it once its
     // key set is open.
