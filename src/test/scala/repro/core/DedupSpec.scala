@@ -115,4 +115,24 @@ class DedupSpec extends SparkSpec {
       assert(KeySets.openCount == 0, arm)
     }
   }
+
+  test("dispatch honors fastEnabled = false") {
+    // With FAST-DEDUP off every IDB takes generic dedup: the run opens no key
+    // set (ids are consecutive, so the two probes bracket it), yet still
+    // removes the duplicate derivations of a diamond-shaped graph.
+    val master = spark.sparkContext.master
+    val off = RecStepConf(fastDedup = false)
+    assert(OofPolicy.keySetsAllowed(RecStepConf(), master), "the check needs a master that takes key sets")
+    assert(!OofPolicy.keySetsAllowed(off, master))
+    val edb = Map("arc" -> edgesToTuples(Set((1L, 2L), (1L, 3L), (2L, 4L), (3L, 4L), (4L, 5L), (5L, 1L))))
+    def probe(): Long = { val id = KeySets.open(); KeySets.release(id); id }
+    val expected = reference(Programs.tc, edb)("tc")
+    val onStart = probe()
+    assert(runEngine(new RecStepEngine(RecStepConf()), Programs.tc, edb)(spark)("tc") == expected)
+    assert(probe() > onStart + 1, "the default run should open a key set")
+    val before = probe()
+    val out = runEngine(new RecStepEngine(off), Programs.tc, edb)(spark)("tc")
+    assert(probe() == before + 1, "FAST-DEDUP off opened a key set")
+    assert(out == expected)
+  }
 }
