@@ -32,7 +32,7 @@ final class BigDatalogLite extends DatalogEngine {
   private val inner = new RecStepEngine(RecStepConf(
     uie = false,
     oof = OofMode.Adaptive,
-    dsd = DsdMode.Opsd,
+    dsd = false,
     eost = true,
     fastDedup = false,
     pbme = false,

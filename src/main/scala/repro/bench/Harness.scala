@@ -1,9 +1,11 @@
 package repro.bench
 
+import java.lang.management.{ManagementFactory, MemoryType}
 import java.util.concurrent.{Executors, TimeUnit, TimeoutException}
 import org.apache.spark.sql.SparkSession
 import repro.core.{DatalogEngine, UnsupportedProgramException}
 import repro.bench.Workloads.Workload
+import scala.jdk.CollectionConverters._
 
 /** Benchmark harness: runs (engine, workload) pairs with a wall-clock
   * timeout, classifies outcomes the way the paper's figures do (OOM and
@@ -18,9 +20,9 @@ object Harness {
       resultSize: Long,
       /** Process CPU seconds consumed during the run (all engines share the
         * JVM, so this is the engine's own burn). */
-      cpuSeconds: Double = 0.0,
-      /** Peak sampled JVM heap during the run, MB. */
-      peakHeapMb: Long = 0L,
+      cpuSeconds: Double,
+      /** Peak JVM heap during the run, MB: the sum of the heap pools' peaks. */
+      peakHeapMb: Long,
   ) extends Status {
     def cell: String = f"$seconds%9.2fs"
     /** CPU utilization relative to `cores` (Table 1 / Figure 16 analog). */
@@ -41,29 +43,17 @@ object Harness {
     */
   def timedRun(engine: DatalogEngine, w: Workload)(implicit spark: SparkSession): Status = {
     val edb = w.edb(spark)
-    val os = java.lang.management.ManagementFactory.getOperatingSystemMXBean
-      .asInstanceOf[com.sun.management.OperatingSystemMXBean]
-    @volatile var peakHeap = 0L
-    @volatile var sampling = true
-    val sampler = new Thread(() => {
-      val rt = Runtime.getRuntime
-      while (sampling) {
-        peakHeap = math.max(peakHeap, rt.totalMemory() - rt.freeMemory())
-        try Thread.sleep(50) catch { case _: InterruptedException => sampling = false }
-      }
-    }, "bench-heap-sampler")
-    sampler.setDaemon(true)
-    sampler.start()
+    val os = ManagementFactory.getOperatingSystemMXBean.asInstanceOf[com.sun.management.OperatingSystemMXBean]
+    val heapPools = ManagementFactory.getMemoryPoolMXBeans.asScala.filter(_.getType == MemoryType.HEAP)
+    heapPools.foreach(_.resetPeakUsage())
     val cpu0 = os.getProcessCpuTime
     val t0 = System.nanoTime()
-    try {
-      val out = engine.evaluate(w.program, edb)
-      val size = out(w.primaryIdb).count()
-      out.foreach { case (p, df) => if (p != w.primaryIdb) df.count() }
-      val wall = (System.nanoTime() - t0) / 1e9
-      val cpu = (os.getProcessCpuTime - cpu0) / 1e9
-      Ok(wall, size, cpu, peakHeap / (1024 * 1024))
-    } finally { sampling = false; sampler.interrupt() }
+    val out = engine.evaluate(w.program, edb)
+    val size = out(w.primaryIdb).count()
+    out.foreach { case (p, df) => if (p != w.primaryIdb) df.count() }
+    val wall = (System.nanoTime() - t0) / 1e9
+    val cpu = (os.getProcessCpuTime - cpu0) / 1e9
+    Ok(wall, size, cpu, heapPools.map(_.getPeakUsage.getUsed).sum / (1024 * 1024))
   }
 
   /** One measured run, without warm-up, under a wall-clock timeout; Spark
@@ -96,29 +86,5 @@ object Harness {
         }
       Result(engine.name, w.name, status)
     } finally pool.shutdownNow()
-  }
-
-  // ------------------------------------------------------------ reporting
-
-  /** Fixed-width matrix printer: rows = workloads, columns = engines. */
-  def printMatrix(
-      title: String,
-      engines: Seq[String],
-      rows: Seq[(String, Map[String, Status])],
-      out: StringBuilder = new StringBuilder,
-  ): String = {
-    val w0 = math.max(18, rows.map(_._1.length).maxOption.getOrElse(10) + 2)
-    out.append(s"\n=== $title ===\n")
-    out.append(" " * w0 + engines.map(e => f"$e%12s").mkString + "\n")
-    rows.foreach { case (name, cells) =>
-      out.append(name.padTo(w0, ' '))
-      engines.foreach { e =>
-        out.append(f"${cells.get(e).map(_.cell).getOrElse("          ")}%12s")
-      }
-      out.append("\n")
-    }
-    val s = out.toString
-    println(s)
-    s
   }
 }

@@ -239,7 +239,7 @@ object Tables {
       ("UIE off", base.copy(uie = false), "n/a"),
       ("OOF-NA (stale stats)", base.copy(oof = OofMode.NoAnalyze), "63%"),
       ("OOF-FA (full stats)", base.copy(oof = OofMode.FullAnalyze), "41%"),
-      ("DSD off (OPSD only)", base.copy(dsd = DsdMode.Opsd), "n/a"),
+      ("DSD off (OPSD only)", base.copy(dsd = false), "n/a"),
       ("EOST off (disk commits)", base.copy(eost = false), "n/a"),
       ("FAST-DEDUP off", base.copy(fastDedup = false), "n/a"),
       ("RecStep-NO-OP", RecStepConf.noOp, "100%"),

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.datalog._
 
 /** Deduplication (Algorithm 1 line 10): the compact concatenated keys of
   * FAST-DEDUP (§5.2), and generic dedup.
@@ -33,6 +34,33 @@ object Dedup {
     // (1L << 63) overflows; (1L << 63) - 1 wraps to Long.MaxValue, which is
     // exactly the 63-bit bound we want.
     b > 0 && maxValue >= 0 && maxValue <= (1L << b) - 1
+  }
+
+  /** The set IDBs of `analysis` whose tuples CCK packs, given `edbBound`,
+    * the largest value of any EDB (`Long.MaxValue` if one is negative).
+    * Program constants can reach IDB columns, so they raise the bound.
+    * Arithmetic can carry values past it, so a program with arithmetic packs
+    * nothing; SUM, COUNT and AVG heads are not bounded by the active domain
+    * either, and IDBs under the MIN/MAX merge step have no dedup.
+    */
+  def packable(analysis: Analyzer.Analysis, edbBound: Long): Set[String] = {
+    def arith(e: Expr): Boolean = e match {
+      case EVar(_) | ELit(_) => false
+      case _                 => true
+    }
+    val rules = analysis.program.rules
+    val headExprs = rules.flatMap(_.head.terms.map { case HExpr(e) => e; case HAgg(_, e) => e })
+    if (headExprs.exists(arith) || rules.exists(_.comparisons.exists(c => arith(c.l) || arith(c.r))))
+      return Set.empty
+    val consts = rules.flatMap(_.body.collect { case BAtom(_, ts, _) => ts.collect { case Num(v) => v } }.flatten) ++
+      headExprs.collect { case ELit(v) => v }
+    val bound = if (consts.exists(_ < 0)) Long.MaxValue else (edbBound +: consts).max
+    val nonMonotone = rules.filter(_.head.terms.exists {
+      case HAgg(op, _) => !AggOp.monotone(op)
+      case _           => false
+    }).map(_.head.pred)
+    val unpacked = nonMonotone.toSet ++ analysis.strata.flatMap(_.recursiveAggs.keys)
+    analysis.idbs.filter(p => !unpacked(p) && canPack(analysis.arities(p), bound))
   }
 
   /** Pack columns c0..c{arity-1} into one CK column. */

@@ -11,8 +11,8 @@ import repro.util.ConcurrentLongSet
   * step inserts R_t's keys and keeps the rows whose key was new (Soufflé's
   * insert-returns-new): one narrow pass, with no exchange. A set kept for
   * the whole of the IDB's stratum holds R's keys, so the same pass is also
-  * R_δ − R, and no hash table is built on R; a set opened for one iteration
-  * dedups only, and DSD's own operator then takes R_δ − R.
+  * R_δ − R, and no hash table is built on R. With DSD off a set is opened
+  * for one iteration and dedups only; OPSD then takes R_δ − R.
   *
   * The sets live in the JVM that runs the tasks. Spark serializes task
   * closures even in local mode, so a task cannot carry a set; it looks it up

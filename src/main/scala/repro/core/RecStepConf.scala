@@ -13,17 +13,6 @@ object OofMode {
   case object FullAnalyze extends OofMode
 }
 
-/** DSD (Dynamic Set Difference, §5.1) strategy selection. */
-sealed trait DsdMode
-object DsdMode {
-  /** Always one-phase (anti-join building on R). */
-  case object Opsd extends DsdMode
-  /** Always two-phase (intersection first). */
-  case object Tpsd extends DsdMode
-  /** Per-iteration choice via the Appendix-A cost model. */
-  case object Dynamic extends DsdMode
-}
-
 /** Configuration of the RecStep engine; every optimization of §5 is
   * independently switchable so the Figure-2 ablation can be reproduced.
   *
@@ -38,8 +27,9 @@ final case class RecStepConf(
     uie: Boolean = true,
     /** Optimization On the Fly. */
     oof: OofMode = OofMode.Adaptive,
-    /** Dynamic Set Difference. */
-    dsd: DsdMode = DsdMode.Dynamic,
+    /** Dynamic Set Difference: the Appendix-A cost model picks OPSD or TPSD
+      * each iteration; off, every set difference is OPSD. */
+    dsd: Boolean = true,
     /** Evaluation as One Single Transaction: in-memory materialization only;
       * when false each iteration commits to disk (reliable checkpoint) in
       * the session's checkpoint dir, or, if none is set, in a temporary one
@@ -62,6 +52,6 @@ object RecStepConf {
   val default: RecStepConf = RecStepConf(pbme = true)
   /** Everything off — "RecStep-NO-OP" in Figure 2. */
   val noOp: RecStepConf = RecStepConf(
-    uie = false, oof = OofMode.NoAnalyze, dsd = DsdMode.Opsd,
+    uie = false, oof = OofMode.NoAnalyze, dsd = false,
     eost = false, fastDedup = false, pbme = false)
 }

@@ -66,10 +66,10 @@ private final class Evaluation(
   /** State of one relation: checkpointed delta pieces whose union is the
     * full relation, the exact row count (maintained incrementally — ΔR is
     * disjoint from R by construction), the id of the key set that holds
-    * R's keys while its stratum runs, and OOF bookkeeping (the previous
-    * dedup's size as the next one's estimate: |R_t| where dedup inserts
-    * into a key set, |R_δ| under generic dedup; previous μ for the DSD
-    * model).
+    * R's keys while its stratum runs (packed IDBs under DSD), and OOF
+    * bookkeeping (the previous dedup's size as the next one's estimate:
+    * |R_t| where dedup inserts into a key set, |R_δ| under generic dedup;
+    * previous μ for the DSD model).
     */
   private final class RelState(val arity: Int) {
     var pieces: Vector[DataFrame] = Vector.empty
@@ -85,9 +85,13 @@ private final class Evaluation(
   }
 
   private val rels = mutable.Map.empty[String, RelState]
-  private var edbMaxValue: Long = 0L
-  private val oof = new OofPolicy(conf, analysis, spark.conf.get("spark.sql.shuffle.partitions").toInt,
-    spark.sparkContext.defaultParallelism, spark.sparkContext.master)
+  private val oof = new OofPolicy(conf, spark.conf.get("spark.sql.shuffle.partitions").toInt,
+    spark.sparkContext.defaultParallelism)
+  /** The set IDBs that dedup by inserting into a key set ([[KeySets]]):
+    * those whose tuples CCK packs, when FAST-DEDUP is on and the master runs
+    * every task once, in this JVM. Set once the EDBs are loaded.
+    */
+  private var packs: Set[String] = Set.empty
   /** Materializations this iteration made and no relation holds: R_δ
     * materialized for TPSD, and UIE off's per-subquery results.
     */
@@ -102,17 +106,8 @@ private final class Evaluation(
       else Some(Files.createTempDirectory("recstep-ckpt").toFile)
     ownDir.foreach(d => sc.setCheckpointDir(d.toString))
     try {
-      loadEdbs()
-      // Program constants can also reach IDB columns; fold them into the
-      // CCK packability bound.
-      val consts = analysis.program.rules.flatMap { r =>
-        r.body.collect { case BAtom(_, ts, _) => ts.collect { case Num(v) => v } }.flatten ++
-          r.head.terms.flatMap { case HExpr(e) => exprLits(e); case HAgg(_, e) => exprLits(e) }
-      }
-      if (consts.nonEmpty) {
-        if (consts.min < 0) edbMaxValue = Long.MaxValue // disables packing
-        else edbMaxValue = math.max(edbMaxValue, consts.max)
-      }
+      val edbBound = loadEdbs()
+      if (conf.fastDedup && KeySets.supports(sc.master)) packs = Dedup.packable(analysis, edbBound)
       for (p <- analysis.idbs) rels(p) = new RelState(analysis.arities(p))
       analysis.strata.foreach(evalStratum)
       val full = analysis.idbs.map(p => p -> rels(p).full).toMap
@@ -133,7 +128,11 @@ private final class Evaluation(
 
   // -------------------------------------------------------------- loading
 
-  private def loadEdbs(): Unit = {
+  /** Pins every EDB and returns the bound of their values for CCK packing:
+    * the largest, or `Long.MaxValue` if one is negative.
+    */
+  private def loadEdbs(): Long = {
+    var bound = 0L
     for (p <- analysis.edbs) {
       val df = edbInput.getOrElse(p,
         throw new IllegalArgumentException(s"missing EDB relation '$p'"))
@@ -148,13 +147,12 @@ private final class Evaluation(
       val m = stats.metrics
       st.rows = m.getLong(0)
       rels(p) = st
-      // active-domain bound for CCK packability (negative values disable it)
       if (st.rows > 0) {
         val vals = (1 until m.size).map(i => if (m.isNullAt(i)) 0L else m.getLong(i))
-        if (vals.min < 0) edbMaxValue = Long.MaxValue
-        else edbMaxValue = math.max(edbMaxValue, vals.max)
+        bound = if (vals.min < 0) Long.MaxValue else math.max(bound, vals.max)
       }
     }
+    bound
   }
 
   private def emptyRel(arity: Int): DataFrame =
@@ -201,8 +199,7 @@ private final class Evaluation(
       throw UnsupportedProgramException("RecStep",
         s"stratum mixes aggregated and plain IDBs: ${s.preds.mkString(", ")}")
     val idbs = s.preds.toSeq.sorted
-    if (s.recursiveAggs.isEmpty)
-      for (p <- idbs if oof.keepsKeys(p, rels(p).arity, edbMaxValue)) rels(p).keySet = Some(KeySets.open())
+    if (conf.dsd) for (p <- idbs if packs(p)) rels(p).keySet = Some(KeySets.open())
     var iteration = 0
     var anyDelta = true
     while (anyDelta && iteration < conf.maxIterations) {
@@ -278,32 +275,33 @@ private final class Evaluation(
   // ---------------------------------------------------------- merge steps
 
   /** Set merge step (Algorithm 1 lines 10–13): dedup, analyze, set
-    * difference, and ΔR appended to R as a new piece. FAST-DEDUP inserts
-    * R_t's packed keys into a key set: R's own, kept for the stratum, which
-    * makes the insert R_δ − R as well; or, under forced OPSD or TPSD, one
-    * that holds this iteration's keys only, after which DSD's own operator
-    * takes R_δ − R. Other tuples take generic dedup and DSD.
+    * difference, and ΔR appended to R as a new piece. One of three paths:
+    *  1. packed tuples under DSD: R_t's keys go into R's key set, kept for
+    *     the stratum, so the one insert pass is dedup and R_δ − R;
+    *  2. packed tuples with DSD off: the keys go into a set opened for this
+    *     iteration, and OPSD takes R_δ − R in the same plan;
+    *  3. other tuples: generic dedup, then DSD.
     */
   private def setMerge(pred: String, st: RelState, rt: DataFrame): Unit = {
-    val iterationSet =
-      if (st.keySet.isEmpty && oof.keySets(pred, st.arity, edbMaxValue)) Some(KeySets.open()) else None
-    val (delta, deltaRows) = try (st.keySet orElse iterationSet) match {
-      case Some(id) =>
+    val (delta, deltaRows) = if (packs(pred)) {
+      val id = st.keySet.getOrElse(KeySets.open())
+      try {
         // R_t is coalesced to OOF's partitions, sized from the previous
         // |R_t|, which the job also counts: without the dedup's exchange,
         // the partitions of the rule joins' output would add up.
         val in = new Materialize.Counter(rt)
         val rDelta = KeySets.insertFresh(in.observed, id, oof.insertPartitions(st.prevDedupRows))
-        val out = if (iterationSet.isEmpty) analyzed(materializeCounted(rDelta)) else dsd(st, rDelta)._1
+        val out = if (st.keySet.isDefined) analyzed(materializeCounted(rDelta)) else dsd(st, rDelta)._1
         st.prevDedupRows = in.rows
         out
-      case None =>
-        // dedup(R_t): partitions are sized from the previous R_δ (OOF's
-        // conservative approximation).
-        val (out, rDeltaRows) = dsd(st, Dedup.generic(rt, oof.dedupPartitions(st.prevDedupRows)))
-        st.prevDedupRows = rDeltaRows
-        out
-    } finally iterationSet.foreach(KeySets.release)
+      } finally if (st.keySet.isEmpty) KeySets.release(id)
+    } else {
+      // dedup(R_t): partitions are sized from the previous R_δ (OOF's
+      // conservative approximation).
+      val (out, rDeltaRows) = dsd(st, Dedup.generic(rt, oof.dedupPartitions(st.prevDedupRows)))
+      st.prevDedupRows = rDeltaRows
+      out
+    }
     st.delta = delta
     st.deltaRows = deltaRows
     if (deltaRows > 0) st.pieces :+= delta
@@ -340,7 +338,7 @@ private final class Evaluation(
       SetDifference.opsd(rDelta, st.full, st.rows, OofPolicy.BroadcastRows)
     else {
       val (delta, inter) = SetDifference.tpsd(rDelta, st.full, st.rows, rDeltaRows, OofPolicy.BroadcastRows)
-      st.mu = oof.refreshMu(st.mu, rDeltaRows, inter)
+      st.mu = oof.refreshMu(rDeltaRows, inter)
       delta
     }
 
@@ -358,14 +356,6 @@ private final class Evaluation(
     st.deltaRows = deltaRows
     st.pieces = Vector(merged)
     st.rows = mergedRows
-  }
-
-  private def exprLits(e: Expr): Seq[Long] = e match {
-    case ELit(v)    => Seq(v)
-    case EVar(_)    => Seq.empty
-    case EAdd(l, r) => exprLits(l) ++ exprLits(r)
-    case ESub(l, r) => exprLits(l) ++ exprLits(r)
-    case EMul(l, r) => exprLits(l) ++ exprLits(r)
   }
 
   private def mergeAgg(df: DataFrame, sig: AggSignature): DataFrame = {
@@ -390,53 +380,10 @@ private final class Evaluation(
   * `shufflePartitions` is the partition budget (the paper's core count
   * analog), taken from the session's `spark.sql.shuffle.partitions`.
   */
-private final class OofPolicy(
-    conf: RecStepConf, analysis: Analyzer.Analysis, shufflePartitions: Int, parallelism: Int, master: String) {
+private final class OofPolicy(conf: RecStepConf, shufflePartitions: Int, parallelism: Int) {
   import OofPolicy._
 
   private val adaptive = conf.oof != OofMode.NoAnalyze
-
-  /** IDBs that may take the packed-CK dedup. Arithmetic can carry IDB values
-    * beyond the EDB active-domain bound from which the CCK bit budget is
-    * derived, so programs with arithmetic never pack; SUM/COUNT/AVG head
-    * values are not bounded by the active domain either.
-    */
-  private val cckPreds: Set[String] = {
-    def arith(e: Expr): Boolean = e match {
-      case EVar(_) | ELit(_) => false
-      case _                 => true
-    }
-    val rules = analysis.program.rules
-    val programHasArith = rules.exists(r =>
-      r.head.terms.exists { case HExpr(e) => arith(e); case HAgg(_, e) => arith(e) } ||
-        r.comparisons.exists(c => arith(c.l) || arith(c.r)))
-    def nonMonotoneHead(pred: String) = rules.exists(r =>
-      r.head.pred == pred && r.head.terms.exists {
-        case HAgg(op, _) => !AggOp.monotone(op)
-        case _           => false
-      })
-    if (!conf.fastDedup || programHasArith) Set.empty
-    else analysis.idbs.filterNot(nonMonotoneHead)
-  }
-
-  private val keySetsAllowed = OofPolicy.keySetsAllowed(conf, master)
-
-  /** Does set IDB `pred` dedup by inserting into a key set ([[KeySets]])?
-    * Its tuples must pack (CCK-eligible, and `arity` values bounded by
-    * `maxValue` fit the bit budget), and the configuration and master must
-    * allow it.
-    */
-  def keySets(pred: String, arity: Int, maxValue: Long): Boolean =
-    keySetsAllowed && cckPreds.contains(pred) && Dedup.canPack(arity, maxValue)
-
-  /** Does `pred`'s key set hold R's keys for its whole stratum, which makes
-    * the insert R_δ − R as well? Under dynamic DSD, which then has no choice
-    * to make: its cost model prices a hash table built on R every iteration,
-    * and none is. Forced OPSD or TPSD (Figure 2's DSD arms) run their own
-    * operator on R_δ, and the set holds one iteration's keys.
-    */
-  def keepsKeys(pred: String, arity: Int, maxValue: Long): Boolean =
-    conf.dsd == DsdMode.Dynamic && keySets(pred, arity, maxValue)
 
   /** Partitions of the key-set insert pass: the dedup's, sized from the
     * previous |R_t|, and at least the session's parallelism.
@@ -466,36 +413,28 @@ private final class OofPolicy(
 
   /** Can DSD pick TPSD this iteration? Only then is R_δ materialized on its
     * own (TPSD reads it twice); otherwise dedup and OPSD run as one plan.
-    * The dynamic choice needs fresh stats, and it keeps OPSD for an R_δ
-    * below [[SmallDeltaRows]], judged here by the previous iteration's.
+    * The choice needs fresh stats (not under OOF-NA), and it keeps OPSD for
+    * an R_δ below [[SmallDeltaRows]], judged here by the previous
+    * iteration's.
     */
-  def tpsdPossible(prevRdeltaRows: Long): Boolean = conf.dsd match {
-    case DsdMode.Opsd    => false
-    case DsdMode.Tpsd    => true
-    case DsdMode.Dynamic => adaptive && prevRdeltaRows >= SmallDeltaRows
-  }
+  def tpsdPossible(prevRdeltaRows: Long): Boolean = conf.dsd && adaptive && prevRdeltaRows >= SmallDeltaRows
 
-  /** DSD's choice between TPSD and OPSD for R_δ − R. */
-  def useTpsd(rRows: Long, rDeltaRows: Long, mu: Double): Boolean = conf.dsd match {
-    case DsdMode.Opsd    => false
-    case DsdMode.Tpsd    => true
-    case DsdMode.Dynamic =>
-      if (!adaptive) false // OOF-NA: no fresh stats to drive the model
-      // tiny R_δ: either translation finishes instantly, but TPSD's extra
-      // query + μ-refresh analyze would dominate — keep the one-shot plan
-      else if (rDeltaRows < SmallDeltaRows) false
-      else SetDifference.decide(rRows, rDeltaRows, Alpha, mu).useTpsd
-  }
+  /** DSD's choice between TPSD and OPSD for R_δ − R, once TPSD is possible. */
+  def useTpsd(rRows: Long, rDeltaRows: Long, mu: Double): Boolean =
+    // tiny R_δ: either translation finishes instantly, but TPSD's extra
+    // query + μ-refresh analyze would dominate — keep the one-shot plan
+    if (rDeltaRows < SmallDeltaRows) false
+    else SetDifference.decide(rRows, rDeltaRows, Alpha, mu).useTpsd
 
   /** μ for the next iteration's DSD decision: analyze(r) of TPSD's
-    * intersection; kept as it was under OOF-NA.
+    * intersection.
     */
-  def refreshMu(mu: Double, rDeltaRows: Long, inter: DataFrame): Double =
-    if (adaptive) rDeltaRows.toDouble / math.max(1L, inter.count()) else mu
+  def refreshMu(rDeltaRows: Long, inter: DataFrame): Double =
+    rDeltaRows.toDouble / math.max(1L, inter.count())
 
-  /** ΔR's partitioning, matched to the data volume. */
+  /** ΔR's partitioning after TPSD, matched to the data volume. */
   def repartitionDelta(delta: DataFrame, rDeltaRows: Long): DataFrame =
-    if (adaptive) delta.coalesce(partsFor(rDeltaRows)) else delta
+    delta.coalesce(partsFor(rDeltaRows))
 
   /** Compact the union-of-deltas once it grows past [[CompactEvery]] pieces
     * so plan size stays bounded across hundreds of iterations.
@@ -507,14 +446,6 @@ private final class OofPolicy(
 }
 
 private object OofPolicy {
-  /** May FAST-DEDUP insert into key sets under this configuration, on this
-    * master? Only on a master that runs each task once, in this JVM
-    * ([[KeySets.supports]]): §5.2's table lives in one address space. Other
-    * masters take generic dedup.
-    */
-  def keySetsAllowed(conf: RecStepConf, master: String): Boolean =
-    conf.fastDedup && KeySets.supports(master)
-
   /** Build/probe cost ratio α for the DSD cost model (Appendix A);
     * calibrate offline with [[DsdCostModel.calibrate]].
     */

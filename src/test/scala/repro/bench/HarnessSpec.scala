@@ -1,5 +1,6 @@
 package repro.bench
 
+import java.util.concurrent.TimeUnit
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.SparkSpec
 import repro.baselines.souffle.SouffleLite
@@ -8,6 +9,7 @@ import repro.bench.Workloads._
 import repro.core.{DatalogEngine, EngineCapabilities, RecStepConf, RecStepEngine, UnsupportedProgramException}
 import repro.datalog.Program
 import repro.programs.Programs
+import scala.jdk.CollectionConverters._
 
 class HarnessSpec extends SparkSpec {
   implicit def s: SparkSession = spark
@@ -21,6 +23,7 @@ class HarnessSpec extends SparkSpec {
         assert(ok.resultSize > 0)
         assert(ok.seconds > 0)
         assert(ok.cpuSeconds > 0)
+        assert(ok.peakHeapMb > 0)
         assert(ok.utilization(16) > 0 && ok.utilization(16) <= 1.5)
       case other => fail(s"unexpected status $other")
     }
@@ -55,6 +58,21 @@ class HarnessSpec extends SparkSpec {
     assert(elapsed < 8, s"timeout took ${elapsed}s to trigger")
   }
 
+  test("a timeout stops an in-memory baseline's work") {
+    // Souffle-lite takes tens of seconds on CSPA(20,12); it is stopped after 2.
+    val engine = new SouffleLite()
+    val w = cspaOn("t", 20, 12)
+    assert(Harness.run(engine, w, timeoutSec = 2).status == TimedOut(2))
+    val group = s"bench-${engine.name}-${w.name}"
+    def working: Seq[String] = Thread.getAllStackTraces.asScala.collect {
+      case (t, frames) if t.getName == group || frames.exists(_.getClassName.startsWith("repro.baselines.souffle")) =>
+        t.getName
+    }.toSeq
+    val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(5)
+    while (working.nonEmpty && System.nanoTime() < deadline) Thread.sleep(20)
+    assert(working.isEmpty, s"still running 5 s after the timeout: ${working.mkString(", ")}")
+  }
+
   test("crashes are classified with the cause") {
     val bomb = new DatalogEngine {
       def name = "bomb"
@@ -66,14 +84,6 @@ class HarnessSpec extends SparkSpec {
       case Crashed(msg) => assert(msg.contains("boom"))
       case other        => fail(s"unexpected $other")
     }
-  }
-
-  test("printMatrix renders all engines and statuses") {
-    val rows = Seq(
-      "W1" -> Map("A" -> (Ok(1.5, 10): Status), "B" -> (Unsupported: Status)),
-      "W2" -> Map("A" -> (TimedOut(60): Status)))
-    val out = Harness.printMatrix("demo", Seq("A", "B"), rows)
-    assert(out.contains("demo") && out.contains("1.50s") && out.contains("--") && out.contains(">"))
   }
 
   test("workload builders expose the benchmark EDBs") {

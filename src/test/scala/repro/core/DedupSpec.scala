@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.SparkSpec
 import repro.TestUtil.{checkProp, edgesToTuples, reference, runEngine}
+import repro.datalog.{Analyzer, Parser}
 import repro.graphs.GraphData
 import repro.programs.Programs
 
@@ -25,6 +26,22 @@ class DedupSpec extends SparkSpec {
     assert(!Dedup.canPack(3, 1L << 21))
     assert(!Dedup.canPack(4, 1L))
     assert(!Dedup.canPack(2, -1L))
+  }
+
+  test("packable: bounded set IDBs of programs without arithmetic") {
+    def packable(src: String, edbBound: Long) = Dedup.packable(Analyzer.analyze(Parser.parse(src)), edbBound)
+    assert(packable(Programs.tcSource, (1L << 31) - 1) == Set("tc"))
+    assert(packable(Programs.tcSource, 1L << 31).isEmpty)
+    // a program constant raises the bound
+    assert(packable("r(x) :- a(x, _). p(x, 2147483648) :- a(x, _).", 10) == Set("r"))
+    // a negative EDB value makes the bound Long.MaxValue: only arity 1's
+    // identity pack takes it
+    assert(packable(Programs.reachSource, Long.MaxValue) == Set("reach"))
+    // COUNT heads do not pack; nor do recursive MIN/MAX IDBs, which have no dedup
+    assert(packable(Programs.gtcSource, 100) == Set("tc"))
+    assert(packable(Programs.ccSource, 100) == Set("cc2", "cc"))
+    // arithmetic anywhere (SSSP's d1 + d2) packs nothing
+    assert(packable(Programs.ssspSource, 100).isEmpty)
   }
 
   test("property: pack/unpack roundtrip for arity 2") {
@@ -109,7 +126,7 @@ class DedupSpec extends SparkSpec {
     val b = (1L << 31) + 5
     val edb = Map("arc" -> edgesToTuples(Set((0L, b), (1L, b), (b, 2L), (2L, 1L))))
     val expected = reference(Programs.tc, edb)("tc")
-    for ((arm, conf) <- Seq("default" -> RecStepConf(), "opsd-only" -> RecStepConf(dsd = DsdMode.Opsd),
+    for ((arm, conf) <- Seq("default" -> RecStepConf(), "dsd-off" -> RecStepConf(dsd = false),
                             "fast-dedup-off" -> RecStepConf(fastDedup = false))) {
       assert(runEngine(new RecStepEngine(conf), Programs.tc, edb)(spark)("tc") == expected, arm)
       assert(KeySets.openCount == 0, arm)
@@ -120,10 +137,8 @@ class DedupSpec extends SparkSpec {
     // With FAST-DEDUP off every IDB takes generic dedup: the run opens no key
     // set (ids are consecutive, so the two probes bracket it), yet still
     // removes the duplicate derivations of a diamond-shaped graph.
-    val master = spark.sparkContext.master
     val off = RecStepConf(fastDedup = false)
-    assert(OofPolicy.keySetsAllowed(RecStepConf(), master), "the check needs a master that takes key sets")
-    assert(!OofPolicy.keySetsAllowed(off, master))
+    assert(KeySets.supports(spark.sparkContext.master), "the check needs a master that takes key sets")
     val edb = Map("arc" -> edgesToTuples(Set((1L, 2L), (1L, 3L), (2L, 4L), (3L, 4L), (4L, 5L), (5L, 1L))))
     def probe(): Long = { val id = KeySets.open(); KeySets.release(id); id }
     val expected = reference(Programs.tc, edb)("tc")

@@ -2,9 +2,10 @@ package repro.core
 
 import java.util.concurrent.{ConcurrentHashMap, TimeUnit}
 import java.util.concurrent.atomic.AtomicReference
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobEnd, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.execution.LogicalRDD
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.TestUtil._
 import repro.datalog.Parser
@@ -57,8 +58,7 @@ class RecStepEngineSpec extends SparkSpec {
       "no-uie"    -> relConf.copy(uie = false),
       "oof-na"    -> relConf.copy(oof = OofMode.NoAnalyze),
       "oof-fa"    -> relConf.copy(oof = OofMode.FullAnalyze),
-      "opsd-only" -> relConf.copy(dsd = DsdMode.Opsd),
-      "tpsd-only" -> relConf.copy(dsd = DsdMode.Tpsd),
+      "dsd-off"   -> relConf.copy(dsd = false),
       "no-eost"   -> relConf.copy(eost = false),
       "no-fdedup" -> relConf.copy(fastDedup = false),
       "pbme"      -> relConf.copy(pbme = true),
@@ -298,15 +298,15 @@ class RecStepEngineSpec extends SparkSpec {
   }
 
   test("forced OPSD dedups a one-tuple Δ without an exchange") {
-    // CSDA over a chain, as above, with OPSD forced: each iteration's dedup
-    // inserts into a key set opened for that iteration, so its set merge
-    // step is one job with no shuffle stage; generic dedup's exchange would
-    // add a second job per iteration.
+    // CSDA over a chain, as above, with DSD off, which forces OPSD: each
+    // iteration's dedup inserts into a key set opened for that iteration, so
+    // its set merge step is one job with no shuffle stage; generic dedup's
+    // exchange would add a second job per iteration.
     val n = 20
     val edb = edbToDF(spark, Map(
       "arc" -> edgesToTuples(GraphData.chain(n).toSet),
       "nullEdge" -> Set(Vector(1L, 2L))))
-    val (out, plain, broadcasts) = countingJobs(engine(relConf.copy(dsd = DsdMode.Opsd)).evaluate(Programs.csda, edb))
+    val (out, plain, broadcasts) = countingJobs(engine(relConf.copy(dsd = false)).evaluate(Programs.csda, edb))
     info(s"$plain non-broadcast and $broadcasts broadcast jobs for $n iterations")
     assert(plain <= n + 8, s"$plain non-broadcast jobs (and $broadcasts broadcasts) for $n iterations")
     assert(dfToSet(out("null")) == (2L to n.toLong).map(v => Vector(1L, v)).toSet)
@@ -316,9 +316,9 @@ class RecStepEngineSpec extends SparkSpec {
     // TC over groups a→b→c→d plus a→c. Iteration 1's R_δ is all 4·groups
     // arcs; iteration 2 derives tc(a,c) again, which the set difference must
     // drop, and tc(b,d) and tc(a,d), which it must keep. Only iteration 2's
-    // merge step can differ between Dynamic and OPSD-only DSD: it
-    // materializes R_δ separately exactly when 4·groups >= SmallDeltaRows.
-    def nonBroadcastJobs(groups: Int, dsd: DsdMode): Int = {
+    // merge step can differ between DSD on and off: DSD materializes R_δ
+    // separately exactly when 4·groups >= SmallDeltaRows.
+    def nonBroadcastJobs(groups: Int, dsd: Boolean): Int = {
       val arcs = (0 until groups).flatMap { g =>
         val a = 4L * g
         Seq((a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a, a + 2))
@@ -326,17 +326,17 @@ class RecStepEngineSpec extends SparkSpec {
       val closure = (0 until groups).flatMap { g =>
         for (i <- 0 to 2; j <- i + 1 to 3) yield Vector(4L * g + i, 4L * g + j)
       }.toSet
-      // FAST-DEDUP off keeps both arms on generic dedup: under Dynamic,
-      // default flags keep R's keys in a key set, which leaves DSD no choice.
+      // FAST-DEDUP off keeps both arms on generic dedup: under DSD, default
+      // flags keep R's keys in a key set, which leaves DSD no choice.
       val (out, plain, _) = countingJobs(
         engine(relConf.copy(dsd = dsd, fastDedup = false)).evaluate(Programs.tc, Map("arc" -> edgesDF(spark, arcs))))
-      assert(dfToSet(out("tc")) == closure, s"$dsd over $groups groups")
+      assert(dfToSet(out("tc")) == closure, s"DSD $dsd over $groups groups")
       plain
     }
     val above = (OofPolicy.SmallDeltaRows / 4 + 1).toInt
     val below = (OofPolicy.SmallDeltaRows / 4 - 1).toInt
-    assert(nonBroadcastJobs(above, DsdMode.Dynamic) > nonBroadcastJobs(above, DsdMode.Opsd))
-    assert(nonBroadcastJobs(below, DsdMode.Dynamic) == nonBroadcastJobs(below, DsdMode.Opsd))
+    assert(nonBroadcastJobs(above, dsd = true) > nonBroadcastJobs(above, dsd = false))
+    assert(nonBroadcastJobs(below, dsd = true) == nonBroadcastJobs(below, dsd = false))
   }
 
   test("a one-tuple Δ broadcasts at most once per iteration: the rule join's build side, never R") {
@@ -354,12 +354,11 @@ class RecStepEngineSpec extends SparkSpec {
   private val figure2Arms = Seq(
     "all-on" -> relConf, "uie-off" -> relConf.copy(uie = false),
     "oof-na" -> relConf.copy(oof = OofMode.NoAnalyze), "oof-fa" -> relConf.copy(oof = OofMode.FullAnalyze),
-    "opsd-only" -> relConf.copy(dsd = DsdMode.Opsd), "tpsd-only" -> relConf.copy(dsd = DsdMode.Tpsd),
-    "eost-off" -> relConf.copy(eost = false), "fast-dedup-off" -> relConf.copy(fastDedup = false),
+    "dsd-off" -> relConf.copy(dsd = false), "eost-off" -> relConf.copy(eost = false), "fast-dedup-off" -> relConf.copy(fastDedup = false),
     "no-op" -> RecStepConf.noOp)
 
   test("key sets and delta pieces both match NaiveEvaluator on all eight programs") {
-    assert(OofPolicy.keySetsAllowed(relConf, spark.sparkContext.master), "the default flags take key sets here")
+    assert(KeySets.supports(spark.sparkContext.master), "the default flags take key sets here")
     val weighted = GraphData.weighted(TestUtil.randomEdges(20, 50, seed = 4).toVector, maxW = 9, seed = 5)
     val cspa = GraphData.cspaInput(nFuncs = 2, clusterSize = 5, seed = 4)
     val csda = GraphData.csdaInput(segments = 3, segLen = 4, seed = 6)
@@ -386,15 +385,19 @@ class RecStepEngineSpec extends SparkSpec {
   }
 
   test("Figure 2's arms dedup into key sets unless FAST-DEDUP is off") {
-    val master = spark.sparkContext.master
-    val (generic, keySets) = figure2Arms.partition { case (_, conf) => !conf.fastDedup }
-    assert(generic.map(_._1) == Seq("fast-dedup-off", "no-op"))
-    for ((arm, conf) <- keySets) assert(OofPolicy.keySetsAllowed(conf, master), arm)
-    for ((arm, conf) <- generic) assert(!OofPolicy.keySetsAllowed(conf, master), arm)
+    assert(figure2Arms.filterNot(_._2.fastDedup).map(_._1) == Seq("fast-dedup-off", "no-op"))
+    // Key set ids are consecutive, so two probes bracket the sets a run opens.
+    def probe(): Long = { val id = KeySets.open(); KeySets.release(id); id }
+    val edb = Map("arc" -> edgesToTuples(edges1))
+    for ((arm, conf) <- figure2Arms) {
+      val before = probe()
+      run(engine(conf), Programs.tc, edb)
+      assert((probe() > before + 1) == conf.fastDedup, arm)
+    }
     // only a master that runs every task once, in this JVM
-    for (m <- Seq("local", "local[1]", "local[4]", "local[*]")) assert(OofPolicy.keySetsAllowed(relConf, m), m)
+    for (m <- Seq("local", "local[1]", "local[4]", "local[*]")) assert(KeySets.supports(m), m)
     for (m <- Seq("local[4,2]", "local[*,3]", "local-cluster[2,1,1024]", "spark://host:7077", "yarn"))
-      assert(!OofPolicy.keySetsAllowed(relConf, m), m)
+      assert(!KeySets.supports(m), m)
   }
 
   test("no key set outlives an evaluation: returned, failed at the iteration cap, or interrupted") {
@@ -404,12 +407,12 @@ class RecStepEngineSpec extends SparkSpec {
     assert(KeySets.openCount == 0, "after a normal return")
     intercept[IterationLimitException](run(engine(relConf.copy(maxIterations = 2)), Programs.tc, chain))
     assert(KeySets.openCount == 0, "after IterationLimitException")
-    // forced OPSD opens a key set for each iteration's dedup
-    val opsd = relConf.copy(dsd = DsdMode.Opsd)
-    run(engine(opsd), Programs.tc, chain)
-    assert(KeySets.openCount == 0, "after a normal return under forced OPSD")
-    intercept[IterationLimitException](run(engine(opsd.copy(maxIterations = 2)), Programs.tc, chain))
-    assert(KeySets.openCount == 0, "after IterationLimitException under forced OPSD")
+    // DSD off opens a key set for each iteration's dedup
+    val dsdOff = relConf.copy(dsd = false)
+    run(engine(dsdOff), Programs.tc, chain)
+    assert(KeySets.openCount == 0, "after a normal return with DSD off")
+    intercept[IterationLimitException](run(engine(dsdOff.copy(maxIterations = 2)), Programs.tc, chain))
+    assert(KeySets.openCount == 0, "after IterationLimitException with DSD off")
 
     // CSDA over a 400-vertex chain runs 400 iterations; interrupt it once its
     // key set is open.
@@ -435,10 +438,14 @@ class RecStepEngineSpec extends SparkSpec {
     assert(KeySets.openCount == 0, s"after an interrupt (${failure.get})")
   }
 
-  test("merge steps release the materializations they supersede") {
-    // Every RDD cached while the evaluation runs is kept reachable here, so
-    // that only the engine's own release, not the garbage collector, can
-    // drop one. Afterwards exactly the results' own pieces stay cached.
+  /** Evaluates `program` and asserts that afterwards exactly the results'
+    * own pieces stay cached: the merge steps released every materialization
+    * they superseded. Every RDD cached while the evaluation runs is kept
+    * reachable, so that only the engine's own release, not the garbage
+    * collector, can drop one.
+    */
+  private def evaluateReleasing(arm: String, conf: RecStepConf, program: repro.datalog.Program,
+                                edb: Map[String, DataFrame]): Map[String, DataFrame] = {
     val sc = spark.sparkContext
     val reachable = ConcurrentHashMap.newKeySet[AnyRef]()
     val keep = new SparkListener {
@@ -446,24 +453,57 @@ class RecStepEngineSpec extends SparkSpec {
         sc.getPersistentRDDs.valuesIterator.foreach(reachable.add)
     }
     def pieces(df: DataFrame): Set[Int] = df.queryExecution.logical.collect { case r: LogicalRDD => r.rdd.id }.toSet
+    val before = sc.getPersistentRDDs.keySet
+    sc.addSparkListener(keep)
+    val out = try engine(conf).evaluate(program, edb) finally sc.removeSparkListener(keep)
+    val cached = sc.getPersistentRDDs.keySet -- before
+    val read = out.values.flatMap(pieces).toSet
+    assert(cached == read, s"$arm: ${cached.size} RDDs cached, the results read ${read.size}")
+    out
+  }
+
+  test("merge steps release the materializations they supersede") {
     def check(arm: String, conf: RecStepConf, program: repro.datalog.Program,
               edb: Map[String, Set[Vector[Long]]]): Unit = {
-      val before = sc.getPersistentRDDs.keySet
-      sc.addSparkListener(keep)
-      val out = try engine(conf).evaluate(program, edbToDF(spark, edb)) finally sc.removeSparkListener(keep)
-      val cached = sc.getPersistentRDDs.keySet -- before
-      val read = out.values.flatMap(pieces).toSet
-      assert(cached == read, s"$arm: ${cached.size} RDDs cached, the results read ${read.size}")
+      val out = evaluateReleasing(arm, conf, program, edbToDF(spark, edb))
       for ((p, want) <- reference(program, edb)) assert(dfToSet(out(p)) == want, s"$arm: $p")
-      reachable.clear()
     }
     // 59 iterations of one fact each: R's pieces are compacted twice
     val chain = edgesToTuples(GraphData.chain(60).toSet)
     val csda = Map("arc" -> chain, "nullEdge" -> Set(Vector(1L, 2L)))
     check("key sets", relConf, Programs.csda, csda)
     check("UIE off", relConf.copy(uie = false), Programs.csda, csda)
-    check("TPSD", relConf.copy(dsd = DsdMode.Tpsd), Programs.csda, csda)
     // the MIN merge step replaces R in each of 59 iterations
     check("MIN merge", relConf, Programs.cc, Map("arc" -> chain))
+  }
+
+  test("dynamic DSD picks TPSD once β ≥ 2α/(α−1), and releases the R_δ it materializes") {
+    // TC over 70,000 chains x→y→z, a shortcut x→z on every fourth, and
+    // 160,000 dead-end arcs. Iteration 1's R_δ is all 317,500 arcs, so TPSD
+    // is possible in iteration 2, whose R_δ is the 70,000 pairs x→z: β ≈ 4.5.
+    // FAST-DEDUP off keeps R's keys out of a key set, which would leave DSD
+    // no choice.
+    val chains = 70000
+    val deadEnds = 160000
+    val paths = (0 until chains).map(i => (3L * i, 3L * i + 2))
+    val arcs = (0 until chains).flatMap(i => Seq((3L * i, 3L * i + 1), (3L * i + 1, 3L * i + 2))) ++
+      paths.indices.filter(_ % 4 == 0).map(paths) ++
+      (0 until deadEnds).map(j => (3L * chains + 2L * j, 3L * chains + 2L * j + 1))
+    assert(SetDifference.decide(arcs.size, chains, OofPolicy.Alpha, muPrev = 10).beta >= 2 * OofPolicy.Alpha / (OofPolicy.Alpha - 1))
+    // TC plans no semi-join of its own; TPSD's intersection is one.
+    val sc = spark.sparkContext
+    val semiJoins = new SparkListener {
+      @volatile var n = 0
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case s: SparkListenerSQLExecutionStart if s.physicalPlanDescription.contains("LeftSemi") => n += 1
+        case _ => ()
+      }
+    }
+    sc.addSparkListener(semiJoins)
+    val (out, _, _) = try countingJobs(evaluateReleasing("TPSD", relConf.copy(fastDedup = false), Programs.tc,
+      Map("arc" -> edgesDF(spark, arcs)))) finally sc.removeSparkListener(semiJoins)
+    info(s"${semiJoins.n} SQL executions planned a semi-join")
+    assert(semiJoins.n > 0, "no SQL execution planned TPSD's intersection")
+    assert(dfToSet(out("tc")) == (arcs ++ paths).map { case (a, b) => Vector(a, b) }.toSet)
   }
 }
