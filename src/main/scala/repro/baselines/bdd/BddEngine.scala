@@ -98,9 +98,6 @@ private final class BddEvaluation(
     analysis.idbs.map(p => p -> toTuples(rel(p), analysis.arities(p))).toMap
   }
 
-  private def rulesFor(s: Analyzer.Stratum): Seq[(ChainRule, Analyzer.Stratum)] =
-    chainRules.filter(r => s.preds.contains(r.head)).map(r => (r, s))
-
   private def evalStratum(s: Analyzer.Stratum): Unit = {
     val idbs = s.preds.toSeq.sorted
     val rules = chainRules.filter(r => s.preds.contains(r.head))
@@ -229,8 +226,4 @@ private final class BddEvaluation(
     }
     out.toSeq
   }
-
-  /** Cardinality without enumeration (used by benches for size reporting). */
-  def count(node: Int, arity: Int): Long =
-    bdd.satCount(node, (if (arity == 1) Seq(0) else Seq(0, 2)).flatMap(t => (0 until bits).map(v(_, t))).toSet)
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import java.nio.file.Files
 import org.apache.commons.io.FileUtils
+import org.apache.spark.repro.SparkInternals
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.datalog._
@@ -105,7 +106,9 @@ private final class Evaluation(
     val ownDir = if (conf.eost || sc.getCheckpointDir.isDefined) None
       else Some(Files.createTempDirectory("recstep-ckpt").toFile)
     ownDir.foreach(d => sc.setCheckpointDir(d.toString))
-    try {
+    // A run that fails, at the iteration cap or on an interrupt, also drops
+    // every RDD it cached.
+    try SparkInternals.releasingOnFailure(sc, "RecStep evaluation") {
       val edbBound = loadEdbs()
       if (conf.fastDedup && KeySets.supports(sc.master)) packs = Dedup.packable(analysis, edbBound)
       for (p <- analysis.idbs) rels(p) = new RelState(analysis.arities(p))
@@ -312,35 +315,35 @@ private final class Evaluation(
   private def analyzed(m: (DataFrame, Long)): (DataFrame, Long) = { oof.fullAnalyze(m._1); m }
 
   /** DSD (Algorithm 1 lines 11–12): ΔR ← R_δ − R, materialized with its
-    * count, and |R_δ|. analyze(R_δ, R): |R| is tracked incrementally, |R_δ|
-    * and |ΔR| are counted by the jobs that materialize them.
+    * count, and |R_δ|. analyze(R_δ, R): |R| is tracked incrementally, and
+    * |R_δ| and |ΔR| are counted by the jobs that materialize them. The next
+    * iteration's μ = |R_δ| / |R ∩ R_δ| follows, as |R ∩ R_δ| = |R_δ| − |ΔR|.
+    * ΔR keeps the dedup's partitioning, which OOF sized from the previous
+    * dedup.
     */
-  private def dsd(st: RelState, rDelta: DataFrame): ((DataFrame, Long), Long) =
-    if (oof.tpsdPossible(st.prevDedupRows)) {
+  private def dsd(st: RelState, rDelta: DataFrame): ((DataFrame, Long), Long) = {
+    val (out, rdRows) = if (oof.tpsdPossible(st.prevDedupRows)) {
       // TPSD reads R_δ twice and DSD needs its exact size: materialize it.
       val (rd, rdRows) = analyzed(materializeCounted(rDelta))
       superseded += rd
-      (materializeCounted(oof.repartitionDelta(setDifference(st, rd, rdRows), rdRows)), rdRows)
+      val diff =
+        if (st.rows == 0 || rdRows == 0) rd // R_δ − ∅ = R_δ; ∅ − R = ∅
+        else if (oof.useTpsd(st.rows, rdRows, st.mu))
+          SetDifference.tpsd(rd, st.full, st.rows, rdRows, OofPolicy.BroadcastRows)._1
+        else SetDifference.opsd(rd, st.full, st.rows, OofPolicy.BroadcastRows)
+      (materializeCounted(diff), rdRows)
     } else {
       // OPSD: dedup and the anti-join are one plan and one job, which also
-      // counts R_δ. ΔR keeps the dedup's partitioning, which OOF sized from
-      // the previous dedup; the exact count is known only after the job.
+      // counts R_δ.
       val rd = new Materialize.Counter(rDelta)
       val out = analyzed(materializeCounted(
         if (st.rows == 0) rd.observed // R_δ − ∅ = R_δ
         else SetDifference.opsd(rd.observed, st.full, st.rows, OofPolicy.BroadcastRows)))
       (out, rd.rows)
     }
-
-  private def setDifference(st: RelState, rDelta: DataFrame, rDeltaRows: Long): DataFrame =
-    if (st.rows == 0 || rDeltaRows == 0) rDelta // R_δ − ∅ = R_δ; ∅ − R = ∅
-    else if (!oof.useTpsd(st.rows, rDeltaRows, st.mu))
-      SetDifference.opsd(rDelta, st.full, st.rows, OofPolicy.BroadcastRows)
-    else {
-      val (delta, inter) = SetDifference.tpsd(rDelta, st.full, st.rows, rDeltaRows, OofPolicy.BroadcastRows)
-      st.mu = oof.refreshMu(rDeltaRows, inter)
-      delta
-    }
+    st.mu = rdRows.toDouble / math.max(1L, rdRows - out._2)
+    (out, rdRows)
+  }
 
   /** MIN/MAX merge step: candidates (already per-rule aggregated by the plan
     * generator) are merged group-wise with R, and the merged relation
@@ -421,20 +424,10 @@ private final class OofPolicy(conf: RecStepConf, shufflePartitions: Int, paralle
 
   /** DSD's choice between TPSD and OPSD for R_δ − R, once TPSD is possible. */
   def useTpsd(rRows: Long, rDeltaRows: Long, mu: Double): Boolean =
-    // tiny R_δ: either translation finishes instantly, but TPSD's extra
-    // query + μ-refresh analyze would dominate — keep the one-shot plan
+    // tiny R_δ: either translation finishes instantly, but TPSD's extra join
+    // would dominate — keep the one-shot plan
     if (rDeltaRows < SmallDeltaRows) false
     else SetDifference.decide(rRows, rDeltaRows, Alpha, mu).useTpsd
-
-  /** μ for the next iteration's DSD decision: analyze(r) of TPSD's
-    * intersection.
-    */
-  def refreshMu(rDeltaRows: Long, inter: DataFrame): Double =
-    rDeltaRows.toDouble / math.max(1L, inter.count())
-
-  /** ΔR's partitioning after TPSD, matched to the data volume. */
-  def repartitionDelta(delta: DataFrame, rDeltaRows: Long): DataFrame =
-    delta.coalesce(partsFor(rDeltaRows))
 
   /** Compact the union-of-deltas once it grows past [[CompactEvery]] pieces
     * so plan size stays bounded across hundreds of iterations.
@@ -452,9 +445,9 @@ private object OofPolicy {
   val Alpha: Double = 2.0
   /** Rows below which a relation side is broadcast (hash-build side). */
   val BroadcastRows: Long = 1_500_000L
-  /** Below this R_δ size TPSD and its μ-refresh analyze cannot pay for
-    * their own per-query overhead (appendix C's caveat on OOF's extra
-    * queries), so dynamic DSD keeps the one-shot OPSD.
+  /** Below this R_δ size TPSD and the separate materialization of R_δ it
+    * needs cannot pay for their own per-query overhead (appendix C's caveat
+    * on OOF's extra queries), so dynamic DSD keeps the one-shot OPSD.
     */
   val SmallDeltaRows: Long = 65_536L
   /** Compact the growing union-of-deltas plan every this many iterations. */

@@ -71,19 +71,13 @@ object Analyzer {
     for (r <- program.rules; a <- r.body.collect { case a: BAtom => a } if idbs.contains(a.pred))
       adj(idx(a.pred)) += idx(r.head.pred)
 
-    val sccs = tarjan(idbList.size, adj.map(_.toSet)) // already in reverse topological order
-    val sccOf = Array.fill(idbList.size)(-1)
-    for ((scc, k) <- sccs.zipWithIndex; v <- scc) sccOf(v) = k
-
-    // Tarjan emits SCCs such that every edge goes from a later-emitted SCC
-    // to an earlier-emitted one... verify and topologically order explicitly.
-    val order = topoOrderSccs(sccs, adj.map(_.toSet), sccOf)
-
-    val strata = order.zipWithIndex.map { case (sccId, stratumIdx) =>
-      val preds = sccs(sccId).map(idbList).toSet
+    // Tarjan emits an SCC only after every SCC reachable from it, and edges
+    // run from body to head, so the reversed emission order puts
+    // dependencies first.
+    val strata = tarjan(idbList.size, adj.map(_.toSet)).reverse.zipWithIndex.map { case (scc, stratumIdx) =>
+      val preds = scc.map(idbList).toSet
       val rules = program.rules.filter(r => preds.contains(r.head.pred))
-      val recursive = rules.exists(r => r.bodyPreds.exists(preds.contains)) ||
-        preds.exists(p => adjContainsSelfLoop(p, program))
+      val recursive = rules.exists(r => r.bodyPreds.exists(preds.contains))
       val recAggs = recursiveAggSignatures(preds, rules, recursive)
       Stratum(stratumIdx, preds, rules, recursive, recAggs)
     }
@@ -93,9 +87,6 @@ object Analyzer {
     validateAggregation(analysis)
     analysis
   }
-
-  private def adjContainsSelfLoop(p: String, program: Program): Boolean =
-    program.rules.exists(r => r.head.pred == p && r.bodyPreds.contains(p))
 
   /** Predicates must be used with one arity everywhere. */
   private def checkArities(program: Program): Map[String, Int] = {
@@ -169,30 +160,6 @@ object Analyzer {
       }
     }
     out.result()
-  }
-
-  /** Kahn topological sort of the SCC condensation (dependencies first). */
-  private def topoOrderSccs(
-      sccs: Vector[Vector[Int]],
-      adj: IndexedSeq[Set[Int]],
-      sccOf: Array[Int],
-  ): Vector[Int] = {
-    val k = sccs.size
-    val succ = Array.fill(k)(mutable.Set.empty[Int])
-    val indeg = Array.fill(k)(0)
-    for (v <- adj.indices; w <- adj(v) if sccOf(v) != sccOf(w))
-      if (succ(sccOf(v)).add(sccOf(w))) indeg(sccOf(w)) += 1
-    val queue = mutable.Queue.empty[Int]
-    (0 until k).filter(indeg(_) == 0).sorted.foreach(queue.enqueue)
-    val out = Vector.newBuilder[Int]
-    while (queue.nonEmpty) {
-      val c = queue.dequeue()
-      out += c
-      for (d <- succ(c).toSeq.sorted) { indeg(d) -= 1; if (indeg(d) == 0) queue.enqueue(d) }
-    }
-    val res = out.result()
-    if (res.size != k) throw AnalysisException("internal: SCC condensation has a cycle")
-    res
   }
 
   /** A negated IDB atom must refer to a strictly lower stratum (§3.3). */

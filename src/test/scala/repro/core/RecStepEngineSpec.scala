@@ -403,60 +403,73 @@ class RecStepEngineSpec extends SparkSpec {
   test("no key set outlives an evaluation: returned, failed at the iteration cap, or interrupted") {
     assert(KeySets.openCount == 0)
     val chain = Map("arc" -> edgesToTuples(GraphData.chain(10).toSet))
-    run(engine(), Programs.tc, chain)
-    assert(KeySets.openCount == 0, "after a normal return")
-    intercept[IterationLimitException](run(engine(relConf.copy(maxIterations = 2)), Programs.tc, chain))
-    assert(KeySets.openCount == 0, "after IterationLimitException")
-    // DSD off opens a key set for each iteration's dedup
-    val dsdOff = relConf.copy(dsd = false)
-    run(engine(dsdOff), Programs.tc, chain)
-    assert(KeySets.openCount == 0, "after a normal return with DSD off")
-    intercept[IterationLimitException](run(engine(dsdOff.copy(maxIterations = 2)), Programs.tc, chain))
-    assert(KeySets.openCount == 0, "after IterationLimitException with DSD off")
+    // DSD off opens a key set for each iteration's dedup, FAST-DEDUP off
+    // takes generic dedup, and UIE off materializes each subquery.
+    for ((arm, conf) <- Seq("default" -> relConf, "DSD off" -> relConf.copy(dsd = false),
+                            "FAST-DEDUP off" -> relConf.copy(fastDedup = false), "UIE off" -> relConf.copy(uie = false))) {
+      run(engine(conf), Programs.tc, chain)
+      assert(KeySets.openCount == 0, s"after a normal return ($arm)")
+      // a failed evaluation also leaves nothing it materialized cached
+      val cached = cachedBy(intercept[IterationLimitException](
+        run(engine(conf.copy(maxIterations = 2)), Programs.tc, chain)))
+      assert(KeySets.openCount == 0, s"after IterationLimitException ($arm)")
+      assert(cached.isEmpty, s"after IterationLimitException ($arm): ${cached.size} RDDs still cached")
+    }
 
     // CSDA over a 400-vertex chain runs 400 iterations; interrupt it once its
-    // key set is open.
+    // key set is open. Wherever the interrupt lands, even inside a checkpoint
+    // that then never returns its DataFrame, nothing the run cached stays.
     val sc = spark.sparkContext
     val edb = edbToDF(spark, Map(
       "arc" -> edgesToTuples(GraphData.chain(400).toSet),
       "nullEdge" -> Set(Vector(1L, 2L))))
     val failure = new AtomicReference[Throwable]
-    val evaluation = new Thread(() => {
-      sc.setJobGroup("interrupted-evaluation", "interrupted evaluation", interruptOnCancel = true)
-      try engine().evaluate(Programs.csda, edb)
-      catch { case t: Throwable => failure.set(t) }
-    })
-    evaluation.start()
-    val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(60)
-    while (KeySets.openCount == 0 && evaluation.isAlive && System.nanoTime() < deadline) Thread.sleep(5)
-    assert(KeySets.openCount == 1, "the evaluation opened its key set")
-    evaluation.interrupt()
-    evaluation.join(TimeUnit.SECONDS.toMillis(60))
-    sc.cancelJobGroup("interrupted-evaluation")
-    assert(!evaluation.isAlive, "the interrupted evaluation returned")
+    val cached = cachedBy {
+      val evaluation = new Thread(() => {
+        sc.setJobGroup("interrupted-evaluation", "interrupted evaluation", interruptOnCancel = true)
+        try engine().evaluate(Programs.csda, edb)
+        catch { case t: Throwable => failure.set(t) }
+      })
+      evaluation.start()
+      val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(60)
+      while (KeySets.openCount == 0 && evaluation.isAlive && System.nanoTime() < deadline) Thread.sleep(5)
+      assert(KeySets.openCount == 1, "the evaluation opened its key set")
+      evaluation.interrupt()
+      evaluation.join(TimeUnit.SECONDS.toMillis(60))
+      sc.cancelJobGroup("interrupted-evaluation")
+      assert(!evaluation.isAlive, "the interrupted evaluation returned")
+    }
     assert(failure.get != null, "the interrupted evaluation failed")
     assert(KeySets.openCount == 0, s"after an interrupt (${failure.get})")
+    assert(cached.isEmpty, s"after an interrupt (${failure.get}): ${cached.size} RDDs still cached")
   }
 
-  /** Evaluates `program` and asserts that afterwards exactly the results'
-    * own pieces stay cached: the merge steps released every materialization
-    * they superseded. Every RDD cached while the evaluation runs is kept
-    * reachable, so that only the engine's own release, not the garbage
-    * collector, can drop one.
+  /** Runs `body` and returns the ids of the RDDs it left cached. Every RDD
+    * cached while it runs is kept reachable, so that only the engine's own
+    * release, not the garbage collector, can drop one.
     */
-  private def evaluateReleasing(arm: String, conf: RecStepConf, program: repro.datalog.Program,
-                                edb: Map[String, DataFrame]): Map[String, DataFrame] = {
+  private def cachedBy(body: => Unit): Set[Int] = {
     val sc = spark.sparkContext
     val reachable = ConcurrentHashMap.newKeySet[AnyRef]()
     val keep = new SparkListener {
       override def onJobEnd(e: SparkListenerJobEnd): Unit =
         sc.getPersistentRDDs.valuesIterator.foreach(reachable.add)
     }
-    def pieces(df: DataFrame): Set[Int] = df.queryExecution.logical.collect { case r: LogicalRDD => r.rdd.id }.toSet
     val before = sc.getPersistentRDDs.keySet
     sc.addSparkListener(keep)
-    val out = try engine(conf).evaluate(program, edb) finally sc.removeSparkListener(keep)
-    val cached = sc.getPersistentRDDs.keySet -- before
+    try body finally sc.removeSparkListener(keep)
+    sc.getPersistentRDDs.keySet.toSet -- before
+  }
+
+  /** Evaluates `program` and asserts that afterwards exactly the results'
+    * own pieces stay cached: the merge steps released every materialization
+    * they superseded.
+    */
+  private def evaluateReleasing(arm: String, conf: RecStepConf, program: repro.datalog.Program,
+                                edb: Map[String, DataFrame]): Map[String, DataFrame] = {
+    def pieces(df: DataFrame): Set[Int] = df.queryExecution.logical.collect { case r: LogicalRDD => r.rdd.id }.toSet
+    var out = Map.empty[String, DataFrame]
+    val cached = cachedBy { out = engine(conf).evaluate(program, edb) }
     val read = out.values.flatMap(pieces).toSet
     assert(cached == read, s"$arm: ${cached.size} RDDs cached, the results read ${read.size}")
     out
@@ -490,7 +503,8 @@ class RecStepEngineSpec extends SparkSpec {
       paths.indices.filter(_ % 4 == 0).map(paths) ++
       (0 until deadEnds).map(j => (3L * chains + 2L * j, 3L * chains + 2L * j + 1))
     assert(SetDifference.decide(arcs.size, chains, OofPolicy.Alpha, muPrev = 10).beta >= 2 * OofPolicy.Alpha / (OofPolicy.Alpha - 1))
-    // TC plans no semi-join of its own; TPSD's intersection is one.
+    // TC plans no semi-join of its own; TPSD's intersection is one, planned
+    // only in the job that materializes ΔR.
     val sc = spark.sparkContext
     val semiJoins = new SparkListener {
       @volatile var n = 0
@@ -503,7 +517,7 @@ class RecStepEngineSpec extends SparkSpec {
     val (out, _, _) = try countingJobs(evaluateReleasing("TPSD", relConf.copy(fastDedup = false), Programs.tc,
       Map("arc" -> edgesDF(spark, arcs)))) finally sc.removeSparkListener(semiJoins)
     info(s"${semiJoins.n} SQL executions planned a semi-join")
-    assert(semiJoins.n > 0, "no SQL execution planned TPSD's intersection")
+    assert(semiJoins.n == 1, s"${semiJoins.n} SQL executions planned TPSD's intersection")
     assert(dfToSet(out("tc")) == (arcs ++ paths).map { case (a, b) => Vector(a, b) }.toSet)
   }
 }
