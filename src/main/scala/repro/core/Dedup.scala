@@ -71,6 +71,22 @@ object Dedup {
       .reduce[Column]((x, y) => x.bitwiseOR(y))
   }
 
+  /** [[packExpr]] on the driver: the CK of one tuple. */
+  def pack(tuple: Array[Long]): Long = {
+    val b = bitsPerAttr(tuple.length)
+    var key = 0L
+    var i = 0
+    while (i < tuple.length) { key = (key << b) | tuple(i); i += 1 }
+    key
+  }
+
+  /** [[unpackExprs]] on the driver: attribute `i` of a CK of the given arity. */
+  def unpack(key: Long, arity: Int, i: Int): Long = {
+    val b = bitsPerAttr(arity)
+    val shifted = key >> (b * (arity - 1 - i))
+    if (i == 0) shifted else shifted & ((1L << b) - 1)
+  }
+
   /** Unpack a CK column back into c0..c{arity-1}. */
   def unpackExprs(arity: Int, ck: Column): Seq[Column] = {
     val b = bitsPerAttr(arity)

@@ -16,7 +16,8 @@ import repro.util.ConcurrentLongSet
   *
   * The sets live in the JVM that runs the tasks. Spark serializes task
   * closures even in local mode, so a task cannot carry a set; it looks it up
-  * here by id.
+  * here by id. The small-Δ driver tier ([[DriverTier]]) inserts into the
+  * same sets on the driver.
   *
   * This is a single-node choice. An insert is not undone when a task fails,
   * so the pass is sound only when every task runs in the driver's JVM and
@@ -44,7 +45,8 @@ private[core] object KeySets {
   /** Sets opened and not released. */
   def openCount: Int = sets.size
 
-  private def lookup(id: Long): ConcurrentLongSet = {
+  /** Set `id`, for an insert on the driver or in a task. */
+  def lookup(id: Long): ConcurrentLongSet = {
     val s = sets.get(id)
     if (s == null) throw new IllegalStateException(s"key set $id was released")
     s

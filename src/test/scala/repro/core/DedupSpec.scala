@@ -73,6 +73,17 @@ class DedupSpec extends SparkSpec {
       .select(Dedup.unpackExprs(3, col("ck")): _*)) == Set(t3))
   }
 
+  test("the driver's pack and unpack use packExpr's layout") {
+    val tuples = Seq(Vector(123456789L), Vector((1L << 62) + 5), Vector(0L, (1L << 31) - 1), Vector(77L, 3L),
+      Vector((1L << 21) - 1, 0L, 77L), Vector(5L, (1L << 21) - 1, 9L))
+    for (t <- tuples) {
+      val arity = t.size
+      val ck = dfOf(Seq(t), arity).select(Dedup.packExpr(arity)).collect().head.getLong(0)
+      assert(Dedup.pack(t.toArray) == ck, t)
+      assert(t.indices.map(Dedup.unpack(ck, arity, _)) == t, t)
+    }
+  }
+
   /** FAST-DEDUP: one insert pass into a freshly opened key set, released
     * afterwards. The rows come back as a Seq, so a duplicate would show.
     */

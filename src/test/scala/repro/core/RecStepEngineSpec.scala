@@ -6,6 +6,7 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListe
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
+import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.TestUtil._
 import repro.datalog.Parser
@@ -16,6 +17,8 @@ class RecStepEngineSpec extends SparkSpec {
   implicit def s: SparkSession = spark
 
   private val relConf = RecStepConf() // all opts on, PBME off (relational path)
+  /** Keeps every iteration on Spark: the driver tier needs all five switches. */
+  private val uieOff = relConf.copy(uie = false)
   private def engine(conf: RecStepConf = relConf) = new RecStepEngine(conf)
 
   private def run(eng: DatalogEngine, p: repro.datalog.Program,
@@ -243,11 +246,12 @@ class RecStepEngineSpec extends SparkSpec {
 
   test("deep chain exercises many iterations and compaction") {
     // 59 iterations with one new fact each: the union of delta pieces is
-    // compacted twice at the engine's period of 24
+    // compacted twice at the engine's period of 24. UIE off keeps every
+    // iteration on Spark; all on, the driver tier would run them.
     val edb = Map(
       "arc" -> edgesToTuples(GraphData.chain(60).toSet),
       "nullEdge" -> Set(Vector(1L, 2L)))
-    val got = run(engine(), Programs.csda, edb)
+    val got = run(engine(uieOff), Programs.csda, edb)
     val expected = reference(Programs.csda, edb)
     assert(got("null") == expected("null"))
   }
@@ -285,13 +289,13 @@ class RecStepEngineSpec extends SparkSpec {
 
   test("a one-tuple Δ costs at most two Spark jobs per iteration, broadcasts aside") {
     // CSDA over a chain: iteration k derives only null(1, k+1), so n
-    // iterations (the last finds nothing new). Each set merge step is one
-    // materialization: the dedup's shuffle stage and its result stage.
+    // iterations (the last finds nothing new). UIE off keeps them on Spark:
+    // each is the subquery's materialization and the set merge step's.
     val n = 20
     val edb = edbToDF(spark, Map(
       "arc" -> edgesToTuples(GraphData.chain(n).toSet),
       "nullEdge" -> Set(Vector(1L, 2L))))
-    val (out, plain, broadcasts) = countingJobs(engine().evaluate(Programs.csda, edb))
+    val (out, plain, broadcasts) = countingJobs(engine(uieOff).evaluate(Programs.csda, edb))
     info(s"$plain non-broadcast and $broadcasts broadcast jobs for $n iterations")
     assert(plain <= 2 * n + 8, s"$plain non-broadcast jobs (and $broadcasts broadcasts) for $n iterations")
     assert(dfToSet(out("null")) == (2L to n.toLong).map(v => Vector(1L, v)).toSet)
@@ -340,14 +344,59 @@ class RecStepEngineSpec extends SparkSpec {
   }
 
   test("a one-tuple Δ broadcasts at most once per iteration: the rule join's build side, never R") {
-    // CSDA over a chain, as above; the key-set merge step builds nothing on R.
+    // CSDA over a chain, as above, on Spark (UIE off); the key-set merge
+    // step builds nothing on R.
     val n = 20
     val edb = edbToDF(spark, Map(
       "arc" -> edgesToTuples(GraphData.chain(n).toSet),
       "nullEdge" -> Set(Vector(1L, 2L))))
-    val (out, plain, broadcasts) = countingJobs(engine().evaluate(Programs.csda, edb))
+    val (out, plain, broadcasts) = countingJobs(engine(uieOff).evaluate(Programs.csda, edb))
     assert(broadcasts <= n, s"$broadcasts broadcast jobs (and $plain others) for $n iterations")
     assert(dfToSet(out("null")) == (2L to n.toLong).map(v => Vector(1L, v)).toSet)
+  }
+
+  /** CSDA over chain(n) from null(1, 2): n - 1 iterations of a one-tuple Δ. */
+  private def csdaChain(n: Int): Map[String, DataFrame] = edbToDF(spark, Map(
+    "arc" -> edgesToTuples(GraphData.chain(n).toSet),
+    "nullEdge" -> Set(Vector(1L, 2L))))
+
+  test("a one-tuple Δ runs no broadcast job: iteration 1 plans no rule that reads its own stratum") {
+    // Iteration 1 would broadcast the empty Δ of null(x, w) ⋈ arc; the
+    // driver tier runs the later iterations with no job at all.
+    val (out, plain, broadcasts) = countingJobs(engine().evaluate(Programs.csda, csdaChain(20)))
+    assert(broadcasts == 0, s"$broadcasts broadcast jobs (and $plain others)")
+    assert(dfToSet(out("null")) == (2L to 20L).map(v => Vector(1L, v)).toSet)
+  }
+
+  test("the driver tier's Spark jobs do not grow with the iterations") {
+    def jobs(n: Int): Int = {
+      val (out, plain, broadcasts) = countingJobs(engine().evaluate(Programs.csda, csdaChain(n)))
+      assert(dfToSet(out("null")) == (2L to n.toLong).map(v => Vector(1L, v)).toSet)
+      plain + broadcasts
+    }
+    val (j20, j40) = (jobs(20), jobs(40))
+    info(s"$j20 Spark jobs over chain(20), $j40 over chain(40)")
+    assert(j20 == j40)
+  }
+
+  test("the driver tier is not taken with a §5 switch off, a non-linear rule or a recursive MIN") {
+    // Each Spark iteration runs at least one job, so the job count grows
+    // with the chain exactly where no iteration runs on the driver.
+    def grows(conf: RecStepConf, program: repro.datalog.Program): Boolean = {
+      def jobs(n: Int): Int = {
+        val (_, plain, broadcasts) = countingJobs(engine(conf).evaluate(program, csdaChain(n)))
+        plain + broadcasts
+      }
+      jobs(16) < jobs(24)
+    }
+    assert(!grows(relConf, Programs.csda), "all switches on")
+    for ((arm, conf) <- figure2Arms if arm != "all-on") assert(grows(conf, Programs.csda), arm)
+    val nonLinear = Parser.parse(Programs.csdaSource + "null(x, y) :- null(x, w), null(w, y).")
+    assert(grows(relConf, nonLinear), "non-linear rule")
+    val minLabel = Parser.parse(
+      """lab(y, MIN(x)) :- nullEdge(x, y).
+        |lab(y, MIN(l)) :- lab(x, l), arc(x, y).""".stripMargin)
+    assert(grows(relConf, minLabel), "recursive MIN")
   }
 
   /** Figure 2's arms: all on, and each optimization off in turn. */
@@ -481,7 +530,9 @@ class RecStepEngineSpec extends SparkSpec {
       val out = evaluateReleasing(arm, conf, program, edbToDF(spark, edb))
       for ((p, want) <- reference(program, edb)) assert(dfToSet(out(p)) == want, s"$arm: $p")
     }
-    // 59 iterations of one fact each: R's pieces are compacted twice
+    // 59 iterations of one fact each: on Spark (UIE off) R's pieces are
+    // compacted twice; with every switch on the driver tier hands its keys
+    // back as one piece
     val chain = edgesToTuples(GraphData.chain(60).toSet)
     val csda = Map("arc" -> chain, "nullEdge" -> Set(Vector(1L, 2L)))
     check("key sets", relConf, Programs.csda, csda)
@@ -519,5 +570,146 @@ class RecStepEngineSpec extends SparkSpec {
     info(s"${semiJoins.n} SQL executions planned a semi-join")
     assert(semiJoins.n == 1, s"${semiJoins.n} SQL executions planned TPSD's intersection")
     assert(dfToSet(out("tc")) == (arcs ++ paths).map { case (a, b) => Vector(a, b) }.toSet)
+  }
+
+  // ------------------------------------------------ small-Δ driver tier
+
+  /** Σ|Δ| of each iteration of the stratum of `pred` under synchronous
+    * semi-naïve evaluation: the facts that each round of Jacobi-style naïve
+    * evaluation derives first, with the earlier strata taken from `idbs`,
+    * the program's fixpoint.
+    */
+  private def deltaSizes(program: repro.datalog.Program, edb: Map[String, Set[Vector[Long]]],
+                         idbs: Map[String, Set[Vector[Long]]], pred: String): Seq[Int] = {
+    val stratum = repro.datalog.Analyzer.analyze(program).strata.find(_.preds(pred)).get
+    var db: Map[String, Set[Vector[Long]]] = edb ++ idbs ++ stratum.preds.map(_ -> Set.empty[Vector[Long]])
+    val sizes = Seq.newBuilder[Int]
+    var fresh = 1
+    while (fresh > 0) {
+      val derived = stratum.rules.groupMapReduce(_.head.pred)(r => repro.ref.NaiveEvaluator.applyRule(r, db))(_ ++ _)
+      val added = derived.map { case (p, ts) => p -> (ts -- db(p)) }
+      fresh = added.values.map(_.size).sum
+      if (fresh > 0) sizes += fresh
+      db ++= added.map { case (p, ts) => p -> (db(p) ++ ts) }
+    }
+    sizes.result()
+  }
+
+  /** Evaluates `program` under all-on flags (PBME off) and checks it against
+    * `NaiveEvaluator`. The input must make Σ|Δ| of `pred`'s stratum cross
+    * the tier's bound both ways: at most the bound in some iteration, so a
+    * later one runs on the driver, then above it, so the tier hands back to
+    * Spark, then at most the bound again. The driver's iterations run no job,
+    * so the run has fewer jobs than iterations.
+    */
+  private def crossesTier(name: String, source: String, edb: Map[String, Set[Vector[Long]]], pred: String): Unit = {
+    val program = Parser.parse(source)
+    val bound = OofPolicy.DriverDeltaRows
+    val expected = reference(program, edb)
+    val sizes = deltaSizes(program, edb, expected, pred)
+    // iteration i + 2 runs where sizes(i) (iteration i + 1's Δ) allows
+    val onDriver = sizes.map(_ <= bound)
+    val entered = onDriver.indexOf(true)
+    val left = onDriver.indexOf(false, entered)
+    assert(entered >= 0 && left > entered && onDriver.indexOf(true, left) > left,
+      s"$name: Σ|Δ| per iteration ${sizes.mkString(", ")} does not cross $bound both ways")
+    val (got, plain, broadcasts) = countingJobs(run(engine(), program, edb))
+    for ((p, want) <- expected) assert(got(p) == want, s"$name: $p")
+    assert(plain + broadcasts < sizes.size, s"$name: ${plain + broadcasts} jobs for ${sizes.size} iterations")
+    assert(KeySets.openCount == 0, name)
+  }
+
+  /** A chain 1 → … → 24 whose vertex `at` also points to `fan` leaves
+    * (1001…), and `sources` (5001…), which the programs start at vertex 1.
+    */
+  private def fanChain(fan: Int, at: Long = 8): Set[(Long, Long)] =
+    GraphData.chain(24).toSet ++ (1 to fan).map(j => (at, 1000L + j))
+  private def sources(n: Int): Seq[Long] = (1 to n).map(5000L + _)
+
+  test("the driver tier matches NaiveEvaluator on TC, REACH, CSDA and SG, entering and leaving it") {
+    // 40 sources reach the 30 leaves together: 1,200 new facts in one iteration
+    crossesTier("TC", Programs.tcSource,
+      Map("arc" -> edgesToTuples(fanChain(30) ++ sources(40).map(s => (s, 1L)))), "tc")
+    crossesTier("CSDA", Programs.csdaSource,
+      Map("arc" -> edgesToTuples(fanChain(30)), "nullEdge" -> sources(40).map(s => Vector(s, 1L)).toSet), "null")
+    crossesTier("REACH", Programs.reachSource,
+      Map("arc" -> edgesToTuples(fanChain(1100, at = 20)), "id" -> Set(Vector(1L))), "reach")
+    // SG over two ladders from vertex 0 whose 12th rungs each fan out to 24
+    // leaves: 2 · 24² pairs of cousins in one iteration
+    val ladder = (0 until 2).flatMap { side =>
+      val v = (k: Int) => 100L * side + k + 1
+      (0L, v(0)) +: ((0 until 20).map(k => (v(k), v(k + 1))) ++ (1 to 24).map(j => (v(12), 1000L * (side + 1) + j)))
+    }.toSet
+    crossesTier("SG", Programs.sgSource, Map("arc" -> edgesToTuples(ladder)), "sg")
+  }
+
+  test("the driver tier matches NaiveEvaluator on mutual recursion, constants, repeated variables, " +
+       "comparisons, negation of an earlier stratum, head constants and arity 1 and 3") {
+    val arc = edgesToTuples(fanChain(30))
+    val starts = sources(40).map(s => Vector(s, 1L)).toSet
+    crossesTier("linear mutual recursion",
+      """odd(x, y) :- start(x, y).
+        |even(x, y) :- odd(x, z), arc(z, y).
+        |odd(x, y) :- even(x, z), arc(z, y).""".stripMargin,
+      Map("arc" -> arc, "start" -> starts), "odd")
+    // arity 3 with head constants; constants in the Δ atom; comparisons
+    // (start(2, 1) derives t(2, 1, 2), which x != y drops)
+    crossesTier("arity 3, constants, comparisons",
+      """t(x, 0, y) :- start(x, y).
+        |t(x, 1, y) :- t(x, 0, z), arc(z, y), x != y.
+        |t(x, 1, y) :- t(x, 1, z), arc(z, y), x != y, z != 20.""".stripMargin,
+      Map("arc" -> arc, "start" -> (starts + Vector(2L, 1L))), "t")
+    // a repeated variable in the Δ atom (p(z, z)) and in a fixed atom
+    // (loop(z, w, w)); constants in fixed atoms
+    val lab = fanChain(30).toSeq.map { case (a, b) => Vector(a, b, if (b > 1000) 0L else 1L) }.toSet
+    val loops = Set(Vector(8L, 8L, 8L), Vector(9L, 9L, 10L), Vector(3L, 4L, 4L))
+    crossesTier("repeated variables",
+      """p(x, y) :- start(x, y).
+        |p(y, y) :- start(_, y).
+        |p(x, y) :- p(x, z), lab(z, y, 1).
+        |p(x, y) :- p(x, z), loop(z, w, w), lab(w, y, 0).
+        |p(z, y) :- p(z, z), lab(z, y, 1).""".stripMargin,
+      Map("lab" -> lab, "loop" -> loops, "start" -> starts), "p")
+    // arity 1, with the negation of an earlier stratum's IDB
+    crossesTier("arity 1, negation",
+      """blocked(y) :- bad(y).
+        |r(y) :- id(y).
+        |r(y) :- r(x), arc(x, y), !blocked(y).""".stripMargin,
+      Map("arc" -> edgesToTuples(fanChain(1100, at = 20)), "id" -> Set(Vector(1L)),
+          "bad" -> Set(Vector(1005L), Vector(23L))), "r")
+  }
+
+  test("an interrupt stops an evaluation in the driver tier within 2 s, leaving no key set or cached RDD") {
+    // CSDA over a chain of a million vertices: a million iterations of a
+    // one-tuple Δ, nearly all on the driver.
+    val n = 1000000L
+    val edb = Map(
+      "arc" -> spark.range(1, n).select(col("id").as("c0"), (col("id") + 1).as("c1")),
+      "nullEdge" -> edgesDF(spark, Seq((1L, 2L))))
+    def probe(): Long = { val id = KeySets.open(); KeySets.release(id); id }
+    val keySet = probe() + 1 // the evaluation's, as key set ids are consecutive
+    val failure = new AtomicReference[Throwable]
+    val cached = cachedBy {
+      val evaluation = new Thread(() => {
+        try engine(relConf.copy(maxIterations = 2 * n.toInt)).evaluate(Programs.csda, edb)
+        catch { case t: Throwable => failure.set(t) }
+      })
+      evaluation.start()
+      // wait until the tier has derived a thousand facts
+      def size = try KeySets.lookup(keySet).size catch { case _: IllegalStateException => 0L }
+      val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(60)
+      while (size < 1000 && evaluation.isAlive && System.nanoTime() < deadline) Thread.sleep(5)
+      assert(size >= 1000 && evaluation.isAlive, "the evaluation runs in the tier")
+      val interrupted = System.nanoTime()
+      evaluation.interrupt()
+      evaluation.join(TimeUnit.SECONDS.toMillis(60))
+      val took = (System.nanoTime() - interrupted) / 1e9
+      assert(!evaluation.isAlive, "the interrupted evaluation returned")
+      info(f"returned $took%.3f s after the interrupt")
+      assert(took < 2.0, f"the evaluation returned $took%.2f s after the interrupt")
+    }
+    assert(failure.get != null, "the interrupted evaluation failed")
+    assert(KeySets.openCount == 0, s"after an interrupt (${failure.get})")
+    assert(cached.isEmpty, s"after an interrupt (${failure.get}): ${cached.size} RDDs still cached")
   }
 }
