@@ -1,10 +1,9 @@
 package repro.baselines.graspan
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.baselines.ChainRules
-import repro.baselines.ChainRules._
 import repro.core.{DatalogEngine, EngineCapabilities, UnsupportedProgramException}
-import repro.datalog.{Analyzer, Program}
+import repro.datalog.{Analyzer, ChainRules, Program}
+import repro.datalog.ChainRules._
 import repro.graphs.GraphData
 import scala.collection.mutable
 

@@ -233,7 +233,7 @@ object Tables {
   def ablation(quick: Boolean = false)(implicit spark: SparkSession): String = {
     warmJvm()
     val w = if (quick) cspaOn("quick", 6, 8).copy(name = "CSPA(quick)") else cspaHttpd
-    val base = RecStepConf() // relational path; PBME is irrelevant to CSPA
+    val base = RecStepConf() // PBME off: the arms measure the relational path
     val configs: Seq[(String, RecStepConf, String)] = Seq(
       ("RecStep (all opts)", base, "24%"),
       ("UIE off", base.copy(uie = false), "n/a"),

@@ -39,9 +39,9 @@ object Dedup {
   /** The set IDBs of `analysis` whose tuples CCK packs, given `edbBound`,
     * the largest value of any EDB (`Long.MaxValue` if one is negative).
     * Program constants can reach IDB columns, so they raise the bound.
-    * Arithmetic can carry values past it, so a program with arithmetic packs
-    * nothing; SUM, COUNT and AVG heads are not bounded by the active domain
-    * either, and IDBs under the MIN/MAX merge step have no dedup.
+    * Arithmetic can carry values past it, and so can a SUM, COUNT or AVG
+    * head, whose values any later IDB may copy: a program with either packs
+    * nothing. IDBs under the MIN/MAX merge step have no dedup.
     */
   def packable(analysis: Analyzer.Analysis, edbBound: Long): Set[String] = {
     def arith(e: Expr): Boolean = e match {
@@ -50,16 +50,16 @@ object Dedup {
     }
     val rules = analysis.program.rules
     val headExprs = rules.flatMap(_.head.terms.map { case HExpr(e) => e; case HAgg(_, e) => e })
-    if (headExprs.exists(arith) || rules.exists(_.comparisons.exists(c => arith(c.l) || arith(c.r))))
+    val unbounded = rules.exists(_.head.terms.exists {
+      case HAgg(op, _) => !AggOp.monotone(op)
+      case _           => false
+    })
+    if (unbounded || headExprs.exists(arith) || rules.exists(_.comparisons.exists(c => arith(c.l) || arith(c.r))))
       return Set.empty
     val consts = rules.flatMap(_.body.collect { case BAtom(_, ts, _) => ts.collect { case Num(v) => v } }.flatten) ++
       headExprs.collect { case ELit(v) => v }
     val bound = if (consts.exists(_ < 0)) Long.MaxValue else (edbBound +: consts).max
-    val nonMonotone = rules.filter(_.head.terms.exists {
-      case HAgg(op, _) => !AggOp.monotone(op)
-      case _           => false
-    }).map(_.head.pred)
-    val unpacked = nonMonotone.toSet ++ analysis.strata.flatMap(_.recursiveAggs.keys)
+    val unpacked = analysis.strata.flatMap(_.recursiveAggs.keys).toSet
     analysis.idbs.filter(p => !unpacked(p) && canPack(analysis.arities(p), bound))
   }
 

@@ -38,7 +38,7 @@ final case class RecStepConf(
     eost: Boolean = true,
     /** FAST-DEDUP via compact concatenated keys + specialized hash set. */
     fastDedup: Boolean = true,
-    /** Parallel Bit-Matrix Evaluation for TC/SG-shaped programs (§5.3). */
+    /** Parallel Bit-Matrix Evaluation for chain-shaped programs (§5.3). */
     pbme: Boolean = false,
     /** PBME is only built when the active domain fits (§5.3). */
     pbmeMaxVertices: Int = 32 * 1024,

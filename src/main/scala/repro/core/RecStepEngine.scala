@@ -6,7 +6,7 @@ import org.apache.spark.repro.SparkInternals
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.datalog._
-import repro.pbme.{Pbme, PbmeMatcher}
+import repro.pbme.{ChainEvaluator, Pbme, PbmeMatcher}
 import scala.collection.mutable
 
 /** RecStep: the paper's Datalog engine (§4, Algorithm 1) with Spark's
@@ -41,15 +41,16 @@ final class RecStepEngine(conf: RecStepConf = RecStepConf.default) extends Datal
       implicit spark: SparkSession): Map[String, DataFrame] = {
     val analysis = Analyzer.analyze(program)
 
-    // PBME fast path (§5.3): bit-matrix evaluation for TC/SG-shaped programs
-    // over a small active domain.
+    // PBME (§5.3): bit-matrix evaluation over a small active domain, by the
+    // TC kernel for TC, and otherwise by the chain evaluator for any
+    // chain-shaped program, SG included. Where either declines, the
+    // relational path runs.
     if (conf.pbme) {
-      PbmeMatcher.matchProgram(analysis).foreach { shape =>
-        Pbme.tryEvaluate(shape, edb, conf.pbmeMaxVertices) match {
-          case Some(result) => return result
-          case None         => () // domain too large — fall back to relational
-        }
+      val result = PbmeMatcher.matchProgram(analysis) match {
+        case Some(tc: PbmeMatcher.TcShape) => Pbme.tryEvaluate(tc, edb, conf.pbmeMaxVertices)
+        case _ => ChainEvaluator.tryEvaluate(analysis, edb, conf.pbmeMaxVertices, conf.maxIterations).toOption
       }
+      result.foreach(return _)
     }
 
     new Evaluation(analysis, edb, conf, spark).run()
@@ -535,8 +536,10 @@ private final class OofPolicy(conf: RecStepConf, shufflePartitions: Int, paralle
 }
 
 private object OofPolicy {
-  /** Build/probe cost ratio α for the DSD cost model (Appendix A);
-    * calibrate offline with [[DsdCostModel.calibrate]].
+  /** Build/probe cost ratio α for the DSD cost model (Appendix A): a
+    * hand-set constant. It has not been calibrated against the two Spark
+    * plans DSD chooses between (`SetDifference.opsd` and `tpsd`); at 2.0,
+    * TPSD is chosen once β ≥ 2α/(α−1) = 4.
     */
   val Alpha: Double = 2.0
   /** Rows below which a relation side is broadcast (hash-build side). */

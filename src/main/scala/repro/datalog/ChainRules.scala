@@ -1,6 +1,4 @@
-package repro.baselines
-
-import repro.datalog._
+package repro.datalog
 
 /** Extraction of "grammar-shaped" rules over binary relations — the fragment
   * Graspan (context-free grammar over graphs) and BDDBDDB-style relational
@@ -13,8 +11,9 @@ import repro.datalog._
   *  - `UnaryCopy`:    H(y)   :- U(y)
   *  - `UnaryChain`:   H(y)   :- U(x), chain from x to y
   *
-  * Programs outside this fragment (aggregation, negation, constants,
-  * non-chain joins, arity > 2) are rejected by the respective engines.
+  * PBME's chain evaluator, Graspan-lite and BDD-lite take programs in this
+  * fragment; outside it (aggregation, negation, constants, non-chain joins,
+  * arity > 2) the evaluator declines and the two baselines reject.
   */
 object ChainRules {
 

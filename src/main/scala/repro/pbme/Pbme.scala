@@ -2,7 +2,7 @@ package repro.pbme
 
 import java.util.concurrent.{ExecutionException, Executors, ThreadFactory}
 import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
 import scala.collection.mutable
 
 /** Parallel Bit-Matrix Evaluation (§5.3, Algorithms 2 and 3).
@@ -29,6 +29,12 @@ object Pbme {
   def tc(arcs: Seq[(Long, Long)], n: Int, threads: Int = Runtime.getRuntime.availableProcessors()): BitMatrix = {
     val mArc = new BitMatrix(n)
     arcs.foreach { case (u, v) => mArc.set(u.toInt, v.toInt) }
+    tc(mArc, threads)
+  }
+
+  /** Transitive closure of the arcs held in `mArc`. */
+  private def tc(mArc: BitMatrix, threads: Int): BitMatrix = {
+    val n = mArc.n
     val mTc = new BitMatrix(n)
     val words = mArc.words
     inPool(threads) { p =>
@@ -75,8 +81,14 @@ object Pbme {
     // vector index V_arc[x] = children of x
     val adj = Array.fill(n + 1)(new mutable.ArrayBuffer[Int]())
     arcs.foreach { case (u, v) => adj(u.toInt) += v.toInt }
-    val vArc: Array[Array[Int]] = adj.map(_.toArray)
+    sg(adj.map(_.toArray), threads)
+  }
 
+  /** Same generation over the vector index `vArc`: `vArc(x)` holds the
+    * children of x, for x in {0..n}.
+    */
+  private def sg(vArc: Array[Array[Int]], threads: Int): AtomicBitMatrix = {
+    val n = vArc.length - 1
     val mSg = new AtomicBitMatrix(n)
     // base: sg(x,y) :- arc(p,x), arc(p,y), x != y
     val seeds = new mutable.ArrayBuffer[(Int, Int)]()
@@ -132,54 +144,140 @@ object Pbme {
       edb: Map[String, DataFrame],
       maxVertices: Int,
   )(implicit spark: SparkSession): Option[Map[String, DataFrame]] = {
-    val arcDf = edb.getOrElse(shape.edb, return None)
-    val arcs = arcDf.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
-    val n = arcs.iterator.map(e => math.max(e._1, e._2)).maxOption.getOrElse(0L)
+    val arcs = loadIds(edb, Seq(shape.edb -> 2), maxVertices).toOption.getOrElse(return None)(shape.edb)
+    val n = arcs.max
     val matrices = shape match {
       case _: PbmeMatcher.TcShape => 2 // M_arc and M_tc
       case _: PbmeMatcher.SgShape => 1 // M_sg (arcs are a vector index)
     }
-    if (n > maxVertices || arcs.exists(e => e._1 <= 0 || e._2 <= 0) ||
-        !matricesFit(n, matrices, Runtime.getRuntime.maxMemory)) return None
+    if (!matricesFit(n, matrices, heapHeadroom())) return None
     val result: BitRows = shape match {
-      case _: PbmeMatcher.TcShape => tc(arcs, n.toInt)
-      case _: PbmeMatcher.SgShape => sg(arcs, n.toInt)
+      case _: PbmeMatcher.TcShape =>
+        val mArc = new BitMatrix(n)
+        arcs.foreach(mArc.set)
+        tc(mArc, Runtime.getRuntime.availableProcessors())
+      case _: PbmeMatcher.SgShape =>
+        val adj = Array.fill(n + 1)(new mutable.ArrayBuilder.ofInt)
+        arcs.foreach((u, v) => adj(u) += v)
+        sg(adj.map(_.result()), Runtime.getRuntime.availableProcessors())
     }
-    Some(Map(shape.idb -> toDF(spark, result)))
+    Some(Map(shape.idb -> packedDF(spark, (1 to result.n).iterator.map(i => (i, result.row(i))), arity = 2)))
+  }
+
+  /** An EDB relation's ids on the driver, one primitive array per Spark
+    * partition: a binary relation's tuples as c0, c1, c0, c1, …, a unary
+    * one's values in turn.
+    */
+  private[pbme] final class Ids(val arity: Int, parts: Array[Array[Int]]) {
+    def tuples: Long = parts.iterator.map(_.length.toLong).sum / arity
+
+    /** The largest id, or 0 for an empty relation. */
+    def max: Int = {
+      var m = 0
+      for (part <- parts; v <- part) m = math.max(m, v)
+      m
+    }
+
+    /** `f(c0, c1)` for each tuple; c1 = 0 in a unary relation. */
+    def foreach(f: (Int, Int) => Unit): Unit =
+      for (part <- parts) {
+        var i = 0
+        while (i < part.length) {
+          if (arity == 2) f(part(i), part(i + 1)) else f(part(i), 0)
+          i += arity
+        }
+      }
+  }
+
+  /** Reads each relation of `arities` (name -> arity 1 or 2) from `edb`,
+    * one Spark job each, in the order given. A partition packs its ids as
+    * it reads them and stops at the first one outside {1..maxVertices},
+    * sending only that id; the evaluation is then declined, with a reason,
+    * before any later relation is read and without the declined
+    * relation's tuples on the driver.
+    */
+  private[pbme] def loadIds(edb: Map[String, DataFrame], arities: Seq[(String, Int)],
+                            maxVertices: Int): Either[String, Map[String, Ids]] = {
+    val loaded = Map.newBuilder[String, Ids]
+    for ((p, arity) <- arities) {
+      val df = edb.getOrElse(p, return Left(s"missing EDB relation '$p'"))
+      val parts = df.rdd.mapPartitions(rows => Iterator(packIds(rows, arity, maxVertices))).collect()
+      parts.collectFirst { case Left(v) => v } match {
+        case Some(v) if v <= 0 => return Left(s"non-positive id $v in '$p'")
+        case Some(v)           => return Left(s"id $v in '$p' exceeds the cap of $maxVertices vertices")
+        case None              => loaded += p -> new Ids(arity, parts.collect { case Right(a) => a })
+      }
+    }
+    Right(loaded.result())
+  }
+
+  /** One partition's ids, packed as [[Ids]] lays them out, or the first id
+    * outside {1..maxVertices}, at which the partition stops reading.
+    */
+  private[pbme] def packIds(rows: Iterator[Row], arity: Int, maxVertices: Int): Either[Long, Array[Int]] = {
+    val out = new mutable.ArrayBuilder.ofInt
+    while (rows.hasNext) {
+      val r = rows.next()
+      var c = 0
+      while (c < arity) {
+        val v = r.getLong(c)
+        if (v <= 0 || v > maxVertices) return Left(v)
+        out += v.toInt
+        c += 1
+      }
+    }
+    Right(out.result())
+  }
+
+  /** Heap bytes not in use now: what new bit matrices may take. */
+  private[pbme] def heapHeadroom(): Long = {
+    val rt = Runtime.getRuntime
+    rt.maxMemory - (rt.totalMemory - rt.freeMemory)
   }
 
   /** Whether `matrices` bit matrices over {1..n}, each (n+1)·⌈(n+1)/64⌉
-    * words of 8 bytes, fit in `maxHeapBytes` with a cell count that an
-    * `Int` index can address.
+    * words of 8 bytes, and `bitsets` bitsets of ⌈(n+1)/64⌉ words, fit in
+    * `maxHeapBytes` with a cell count that an `Int` index can address.
     */
-  def matricesFit(n: Long, matrices: Int, maxHeapBytes: Long): Boolean = {
-    val cells = (n + 1) * ((n + 1 + 63) >>> 6)
-    cells <= Int.MaxValue && matrices * cells * 8 <= maxHeapBytes
+  def matricesFit(n: Long, matrices: Int, maxHeapBytes: Long, bitsets: Int = 0): Boolean = {
+    val words = (n + 1 + 63) >>> 6
+    val cells = (n + 1) * words
+    cells <= Int.MaxValue && (matrices * cells + bitsets * words) * 8 <= maxHeapBytes
   }
 
-  /** Hands the closure to Spark still packed: the non-empty rows travel as
-    * (vertex, words) — the matrix's own arrays — and Spark's tasks decode
-    * them into (c0, c1) pairs. Every action re-decodes from the words.
+  /** Hands bit rows to Spark still packed: the non-empty rows travel as
+    * (row, words) — the matrix's own arrays — and Spark's tasks decode them.
+    * Arity 2: row i's bit j is the pair (c0, c1) = (i, j). Arity 1: the one
+    * row is a bitset, and bit j is the value c0 = j. Every action re-decodes
+    * from the words.
     */
-  private def toDF(spark: SparkSession, m: BitRows): DataFrame = {
-    val packed = (1 to m.n).iterator.map(i => (i, m.row(i))).filter(_._2.exists(_ != 0L)).toVector
+  private[pbme] def packedDF(spark: SparkSession, rows: Iterator[(Int, Array[Long])], arity: Int): DataFrame = {
+    val packed = rows.filter(_._2.exists(_ != 0L)).toVector
     val slices = math.max(1, math.min(packed.size, spark.sparkContext.defaultParallelism))
-    val pairs = spark.sparkContext.parallelize(packed, slices)
-      .mapPartitions(_.flatMap { case (i, row) => BitRows.pairs(i, row) })
-    spark.createDataset(pairs)(Encoders.tuple(Encoders.scalaLong, Encoders.scalaLong)).toDF("c0", "c1")
+    val rdd = spark.sparkContext.parallelize(packed, slices)
+    if (arity == 2) {
+      val pairs = rdd.mapPartitions(_.flatMap { case (i, row) => BitRows.pairs(i, row) })
+      spark.createDataset(pairs)(Encoders.tuple(Encoders.scalaLong, Encoders.scalaLong)).toDF("c0", "c1")
+    } else {
+      val values = rdd.mapPartitions(_.flatMap { case (i, row) => BitRows.pairs(i, row).map(_._2) })
+      spark.createDataset(values)(Encoders.scalaLong).toDF("c0")
+    }
   }
 
-  private def checkInterrupt(): Unit =
-    if (Thread.currentThread.isInterrupted) throw new InterruptedException("PBME kernel interrupted")
+  private[pbme] def checkInterrupt(): Unit =
+    if (Thread.interrupted()) throw new InterruptedException("PBME kernel interrupted")
 
   private val workerIds = new AtomicInteger(0)
 
   /** Runs `work(0) … work(threads-1)` on `threads` fresh worker threads and
     * waits for all of them. However the wait ends — completion, a worker's
     * exception, or an interrupt of the caller — the workers are interrupted
-    * on the way out and stop at their next interrupt check.
+    * on the way out and stop at their next interrupt check. With one
+    * thread, `work(0)` runs on the caller, which then takes the interrupt
+    * itself.
     */
-  private def inPool(threads: Int)(work: Int => Unit): Unit = {
+  private[pbme] def inPool(threads: Int)(work: Int => Unit): Unit = {
+    if (threads == 1) return work(0)
     val pool = Executors.newFixedThreadPool(threads, new ThreadFactory {
       def newThread(r: Runnable): Thread = {
         val t = new Thread(r, s"pbme-worker-${workerIds.incrementAndGet()}")

@@ -1,8 +1,8 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines.ChainRules._
-import repro.datalog.{Analyzer, Parser}
+import repro.datalog.ChainRules._
+import repro.datalog.{Analyzer, ChainRules, Parser}
 import repro.programs.Programs
 
 class ChainRulesSpec extends AnyFunSuite {

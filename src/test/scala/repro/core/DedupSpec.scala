@@ -37,8 +37,9 @@ class DedupSpec extends SparkSpec {
     // a negative EDB value makes the bound Long.MaxValue: only arity 1's
     // identity pack takes it
     assert(packable(Programs.reachSource, Long.MaxValue) == Set("reach"))
-    // COUNT heads do not pack; nor do recursive MIN/MAX IDBs, which have no dedup
-    assert(packable(Programs.gtcSource, 100) == Set("tc"))
+    // a COUNT head packs nothing, as any IDB may copy its values; recursive
+    // MIN/MAX IDBs have no dedup
+    assert(packable(Programs.gtcSource, 100).isEmpty)
     assert(packable(Programs.ccSource, 100) == Set("cc2", "cc"))
     // arithmetic anywhere (SSSP's d1 + d2) packs nothing
     assert(packable(Programs.ssspSource, 100).isEmpty)
@@ -141,6 +142,26 @@ class DedupSpec extends SparkSpec {
                             "fast-dedup-off" -> RecStepConf(fastDedup = false))) {
       assert(runEngine(new RecStepEngine(conf), Programs.tc, edb)(spark)("tc") == expected, arm)
       assert(KeySets.openCount == 0, arm)
+    }
+  }
+
+  test("a SUM, COUNT or AVG value that later IDBs copy is not truncated by packing") {
+    // The SUM of three arcs of weight 2^30 is 3·2^30, past the 31 bits an
+    // arity-2 key gives each value; p and q copy it.
+    val w = 1L << 30
+    val edb = Map("arc" -> Set(Vector(1L, 2L, w), Vector(1L, 3L, w), Vector(1L, 4L, w)))
+    for (agg <- Seq("SUM", "COUNT", "AVG")) {
+      val program = Parser.parse(
+        s"""s(x, $agg(w)) :- arc(x, y, w).
+           |p(x, v) :- s(x, v).
+           |q(x, v) :- p(x, v).
+           |q(x, v) :- q(x, u), p(u, v).""".stripMargin)
+      assert(Dedup.packable(Analyzer.analyze(program), w).isEmpty, agg)
+      val expected = reference(program, edb)
+      for ((arm, conf) <- Seq("RecStepConf()" -> RecStepConf(), "RecStepConf.default" -> RecStepConf.default)) {
+        val got = runEngine(new RecStepEngine(conf), program, edb)(spark)
+        for ((p, want) <- expected) assert(got(p) == want, s"$agg: $p under $arm")
+      }
     }
   }
 

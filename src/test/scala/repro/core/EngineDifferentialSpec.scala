@@ -1,13 +1,13 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.{SparkSpec, TestUtil}
 import repro.TestUtil._
 import repro.baselines.bdd.BddEngine
 import repro.baselines.bigdatalog.BigDatalogLite
 import repro.baselines.graspan.GraspanLite
 import repro.baselines.souffle.SouffleLite
-import repro.datalog.Parser
+import repro.datalog.{Parser, Program}
 import repro.graphs.GraphData
 import repro.programs.Programs
 import repro.ref.NaiveEvaluator
@@ -21,6 +21,16 @@ class EngineDifferentialSpec extends SparkSpec {
   implicit def s: SparkSession = spark
 
   private val recstep = new RecStepEngine(RecStepConf.default)
+  /** RecStep with PBME off: the relational path, which the default
+    * configuration's bit matrices replace on the chain-shaped programs.
+    */
+  private val recstepRelational: DatalogEngine = new DatalogEngine {
+    private val inner = new RecStepEngine(RecStepConf())
+    def name: String = "RecStep (relational)"
+    def capabilities: EngineCapabilities = inner.capabilities
+    def evaluate(program: Program, edb: Map[String, DataFrame])(implicit session: SparkSession): Map[String, DataFrame] =
+      inner.evaluate(program, edb)(session)
+  }
   private val souffle = new SouffleLite()
   private val bigdatalog = new BigDatalogLite()
   private val graspan = new GraspanLite()
@@ -30,7 +40,7 @@ class EngineDifferentialSpec extends SparkSpec {
     for (seed <- 1 to 3) {
       val edb = Map("arc" -> edgesToTuples(TestUtil.randomEdges(20, 40, seed * 100)))
       val expected = reference(Programs.tc, edb)("tc")
-      for (e <- Seq(recstep, souffle, bigdatalog, graspan, bdd)) {
+      for (e <- Seq(recstep, recstepRelational, souffle, bigdatalog, graspan, bdd)) {
         val got = runEngine(e, Programs.tc, edb)
         assert(got("tc") == expected, s"${e.name} diverged on seed $seed")
       }
@@ -40,7 +50,7 @@ class EngineDifferentialSpec extends SparkSpec {
   test("supporting engines agree on SG (PBME vs in-memory vs BDD)") {
     val edb = Map("arc" -> edgesToTuples(TestUtil.randomEdges(14, 24, 77)))
     val expected = reference(Programs.sg, edb)("sg")
-    for (e <- Seq(recstep, souffle, bigdatalog, bdd)) {
+    for (e <- Seq(recstep, recstepRelational, souffle, bigdatalog, bdd)) {
       assert(runEngine(e, Programs.sg, edb).apply("sg") == expected, s"${e.name} diverged")
     }
   }
@@ -50,7 +60,7 @@ class EngineDifferentialSpec extends SparkSpec {
       "arc" -> edgesToTuples(GraphData.rmat(64, 150, 5).toSet),
       "id" -> Set(Vector(1L)))
     val expected = reference(Programs.reach, edb)("reach")
-    for (e <- Seq(recstep, souffle, bigdatalog, bdd))
+    for (e <- Seq(recstep, recstepRelational, souffle, bigdatalog, bdd))
       assert(runEngine(e, Programs.reach, edb).apply("reach") == expected, s"${e.name} diverged")
   }
 
@@ -58,7 +68,7 @@ class EngineDifferentialSpec extends SparkSpec {
     val edb = GraphData.andersenInput(1, seed = 99).asMap
       .map { case (k, v) => k -> edgesToTuples(v.toSet) }
     val expected = reference(Programs.andersen, edb)("pointsTo")
-    for (e <- Seq(recstep, souffle, bigdatalog, bdd))
+    for (e <- Seq(recstep, recstepRelational, souffle, bigdatalog, bdd))
       assert(runEngine(e, Programs.andersen, edb).apply("pointsTo") == expected, s"${e.name} diverged")
   }
 
@@ -68,7 +78,7 @@ class EngineDifferentialSpec extends SparkSpec {
       "assign" -> edgesToTuples(in.assign.toSet),
       "dereference" -> edgesToTuples(in.dereference.toSet))
     val expected = reference(Programs.cspa, edb)
-    for (e <- Seq(recstep, souffle, graspan, bdd); p <- expected.keys)
+    for (e <- Seq(recstep, recstepRelational, souffle, graspan, bdd); p <- expected.keys)
       assert(runEngine(e, Programs.cspa, edb).apply(p) == expected(p), s"${e.name} diverged on $p")
   }
 
@@ -78,14 +88,14 @@ class EngineDifferentialSpec extends SparkSpec {
       "nullEdge" -> edgesToTuples(in.nullEdge.toSet),
       "arc" -> edgesToTuples(in.arc.toSet))
     val expected = reference(Programs.csda, edb)("null")
-    for (e <- Seq(recstep, souffle, bigdatalog, graspan, bdd))
+    for (e <- Seq(recstep, recstepRelational, souffle, bigdatalog, graspan, bdd))
       assert(runEngine(e, Programs.csda, edb).apply("null") == expected, s"${e.name} diverged")
   }
 
   test("RecStep and BigDatalog-lite agree on CC and SSSP (recursive MIN)") {
     val ccEdb = Map("arc" -> edgesToTuples(GraphData.rmat(32, 80, 8).toSet))
     val ccExpected = reference(Programs.cc, ccEdb)
-    for (e <- Seq[DatalogEngine](recstep, bigdatalog); p <- ccExpected.keys)
+    for (e <- Seq[DatalogEngine](recstep, recstepRelational, bigdatalog); p <- ccExpected.keys)
       assert(runEngine(e, Programs.cc, ccEdb).apply(p) == ccExpected(p), s"${e.name} diverged on $p")
 
     val wEdges = GraphData.weighted(GraphData.rmat(32, 90, 9), maxW = 7, seed = 3)
@@ -93,7 +103,7 @@ class EngineDifferentialSpec extends SparkSpec {
       "arc" -> wEdges.map(e => Vector(e._1, e._2, e._3)).toSet,
       "id" -> Set(Vector(1L)))
     val ssspExpected = reference(Programs.sssp, ssspEdb)("sssp")
-    for (e <- Seq[DatalogEngine](recstep, bigdatalog))
+    for (e <- Seq[DatalogEngine](recstep, recstepRelational, bigdatalog))
       assert(runEngine(e, Programs.sssp, ssspEdb).apply("sssp") == ssspExpected, s"${e.name} diverged")
   }
 
@@ -121,9 +131,11 @@ class EngineDifferentialSpec extends SparkSpec {
     assert(overflows(NaiveEvaluator.evaluate(pathSum, edb)), "NaiveEvaluator")
     assert(overflows(souffle.evaluateInMemory(pathSum, inMemory)), "Souffle-lite")
     assert(overflows(runEngine(recstep, pathSum, edb)), "RecStep")
+    assert(overflows(runEngine(recstepRelational, pathSum, edb)), "RecStep (relational)")
     // SSSP itself, on the engines with recursive MIN
     assert(overflows(NaiveEvaluator.evaluate(Programs.sssp, edb)), "NaiveEvaluator (SSSP)")
     assert(overflows(runEngine(recstep, Programs.sssp, edb)), "RecStep (SSSP)")
+    assert(overflows(runEngine(recstepRelational, Programs.sssp, edb)), "RecStep (relational, SSSP)")
   }
 
   test("a SUM past Long.MaxValue fails with an arithmetic overflow in every engine") {
@@ -137,9 +149,11 @@ class EngineDifferentialSpec extends SparkSpec {
     assert(NaiveEvaluator.evaluate(total, fits)("total") == expected)
     assert(souffle.evaluateInMemory(total, inMemory(fits))("total").map(_.toVector).toSet == expected)
     assert(runEngine(recstep, total, fits).apply("total") == expected)
+    assert(runEngine(recstepRelational, total, fits).apply("total") == expected)
     // one past it, none of them wraps
     assert(overflows(NaiveEvaluator.evaluate(total, past)), "NaiveEvaluator")
     assert(overflows(souffle.evaluateInMemory(total, inMemory(past))), "Souffle-lite")
     assert(overflows(runEngine(recstep, total, past)), "RecStep")
+    assert(overflows(runEngine(recstepRelational, total, past)), "RecStep (relational)")
   }
 }
